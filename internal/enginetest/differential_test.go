@@ -354,10 +354,10 @@ func TestPartitionDifferentialSkewedKey(t *testing.T) {
 }
 
 // TestPartitionDifferentialKeylessFallback asks for partitioned evaluation
-// over a workload with no equi-join keys at all (RandomPattern never emits
-// Eq pair predicates), so every sharing component must take the broadcast
-// fallback — PartitionWorkers degrades to plain shared evaluation with no
-// correctness impact.
+// over a workload with no equi-join key (no query of this draw chains all
+// its positive positions with Eq pairs), so every sharing component must
+// take the broadcast fallback — PartitionWorkers degrades to plain shared
+// evaluation with no correctness impact.
 func TestPartitionDifferentialKeylessFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	qs := buildDifferentialQueries(rng, 5)

@@ -182,7 +182,8 @@ func KeyedStream(rng *rand.Rand, n int, types []string, maxGap int64, key float6
 }
 
 // RandomPattern builds a random simple pattern over 2..4 positive events
-// with 0..2 attribute predicates, optionally with negation or Kleene.
+// with 0..2 attribute predicates (<, <=, != or =), optionally with negation
+// or Kleene.
 func RandomPattern(rng *rand.Rand, window event.Time, negation, kleene bool) *pattern.Pattern {
 	n := 2 + rng.Intn(3)
 	var terms []pattern.Term
@@ -206,7 +207,9 @@ func RandomPattern(rng *rand.Rand, window event.Time, negation, kleene bool) *pa
 	} else {
 		p = pattern.And(window, terms...)
 	}
-	// Random pairwise predicates between positive events.
+	// Random pairwise predicates between positive events. Eq pairs give the
+	// shared DAG indexed join edges beside scanned inequality edges, and
+	// key chains that cover only some positions.
 	aliases := []string{}
 	for _, t := range terms {
 		if !t.Event.Negated {
@@ -220,7 +223,7 @@ func RandomPattern(rng *rand.Rand, window event.Time, negation, kleene bool) *pa
 		if i == j {
 			continue
 		}
-		op := []pattern.CmpOp{pattern.Lt, pattern.Le, pattern.Ne}[rng.Intn(3)]
+		op := []pattern.CmpOp{pattern.Lt, pattern.Le, pattern.Ne, pattern.Eq}[rng.Intn(4)]
 		p.Conds = append(p.Conds, pattern.AttrCmp(aliases[i], "x", op, aliases[j], "x"))
 	}
 	// Random constant unary predicates — equality and ranges on x, in both

@@ -83,10 +83,13 @@ type edge struct {
 
 // crossPred is one pairwise predicate evaluated at a join node, expressed
 // in child slot space: fn receives the left child's event at slot l and the
-// right child's event at slot r.
+// right child's event at slot r. eqAttr names the attribute when the
+// predicate is a same-attribute equality; the join's first such predicate
+// keys its index (index.go).
 type crossPred struct {
-	l, r int
-	fn   predicate.PairFn
+	l, r   int
+	fn     predicate.PairFn
+	eqAttr string
 }
 
 // node is one DAG node: a leaf (event-type intake with unary filters) or a
@@ -121,10 +124,17 @@ type node struct {
 	leftMap, rightMap []int // child slot -> this node's slot
 	cross             []crossPred
 	needDisjoint      bool // left/right type multisets intersect
+	// probe[s] is the child index an instance arriving from side s looks up
+	// with the key probeKey[s] reads from it; nil for a join without a
+	// same-attribute equality, which scans the sibling's buffer (index.go).
+	probe    [2]*joinIndex
+	probeKey [2]eqKey
 
 	parents   []edge
 	consumers []consumer
 	buffer    []*inst
+	// indexes are the equi-join indexes parents probe this buffer through.
+	indexes []*joinIndex
 
 	// sinceSeq is the stream sequence number from which the buffer is
 	// complete: it holds every live instance all of whose constituents
@@ -498,22 +508,20 @@ func (e *Engine) insert(n *node, in *inst) {
 		return
 	}
 	n.buffer = append(n.buffer, in)
+	for _, ix := range n.indexes {
+		ix.add(in)
+	}
 	e.nPartial++
 	if cur := e.CurrentPartial(); cur > e.st.PeakPartial {
 		e.st.PeakPartial = cur
 	}
 	for _, ed := range n.parents {
 		p := ed.parent
-		sib := p.right
-		if ed.side == 1 {
-			sib = p.left
-		}
-		// Snapshot: recursive inserts only extend ancestors' buffers, never
-		// the sibling's — except in the self-join case (sib == n), where the
-		// snapshot already contains `in` itself and the event-disjointness
-		// check rejects the self-pairing.
-		sibBuf := sib.buffer
-		for _, other := range sibBuf {
+		// Snapshot: recursive inserts only extend ancestors' buffers and
+		// indexes, never the sibling's — except in the self-join case
+		// (sibling == n), where the snapshot already contains `in` itself and
+		// the event-disjointness check rejects the self-pairing.
+		for _, other := range p.candidates(ed.side, in) {
 			li, ri := in, other
 			if ed.side == 1 {
 				li, ri = other, in
@@ -694,13 +702,17 @@ func (e *Engine) killPendings(ev *event.Event) {
 	}
 }
 
-// compact sweeps expired instances from every buffering node and expired
-// events from the negation buffers.
+// compact sweeps expired instances from every buffering node — its indexes
+// first, with the same expiry test, before the buffer recycles them — and
+// expired events from the negation buffers.
 func (e *Engine) compact() {
 	total := 0
 	for _, n := range e.nodes {
 		if len(n.parents) == 0 {
 			continue
+		}
+		for _, ix := range n.indexes {
+			ix.sweep(e.now, n.window)
 		}
 		keep := n.buffer[:0]
 		for _, in := range n.buffer {
@@ -743,11 +755,15 @@ func (e *Engine) Flush() []Tagged {
 	return e.out
 }
 
-// Close releases the engine's buffers, returning every buffered instance to
-// the pool (leak tests assert PoolStats().Live() == 0 afterwards).
+// Close releases the engine's buffers and indexes, returning every buffered
+// instance to the pool (leak tests assert PoolStats().Live() == 0
+// afterwards).
 func (e *Engine) Close() {
 	e.closed = true
 	for _, n := range e.nodes {
+		for _, ix := range n.indexes {
+			ix.buckets = nil
+		}
 		for _, in := range n.buffer {
 			e.putInst(in)
 		}
@@ -881,6 +897,7 @@ func (e *Engine) AdoptFrom(olds []*Engine, spliceSeq uint64) {
 					n.buffer = append(n.buffer, cp)
 				}
 			}
+			n.reindex()
 			continue
 		}
 		if n.isLeaf() {
@@ -889,20 +906,23 @@ func (e *Engine) AdoptFrom(olds []*Engine, spliceSeq uint64) {
 			continue
 		}
 		// Backfill: the sub-join was not materialized before, but both
-		// children carry buffers — recompute the cross product once, during
-		// the splice pause. Completeness is bounded by the children's.
+		// children carry buffers (and indexes, settled earlier in build
+		// order) — recompute the join once, during the splice pause, probing
+		// the right child exactly as a left-side insertion would.
+		// Completeness is bounded by the children's.
 		n.sinceSeq = n.left.sinceSeq
 		if n.right.sinceSeq > n.sinceSeq {
 			n.sinceSeq = n.right.sinceSeq
 		}
 		for _, li := range n.left.buffer {
-			for _, ri := range n.right.buffer {
+			for _, ri := range n.candidates(0, li) {
 				if merged := e.combine(n, li, ri); merged != nil {
 					n.buffer = append(n.buffer, merged)
 					e.st.Backfilled++
 				}
 			}
 		}
+		n.reindex()
 	}
 	total := 0
 	for _, n := range e.nodes {

@@ -104,14 +104,15 @@ func TestEligible(t *testing.T) {
 // TestEngineMatchesTreeEngine drives the shared DAG engine with a single
 // query and compares its match set against the private tree engine on the
 // same plan, over random eligible patterns — the DAG machinery must be a
-// faithful generalization of the tree engine.
+// faithful generalization of the tree engine. Equality draws index join
+// edges; the index invariant is checked after every event.
 func TestEngineMatchesTreeEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	st := stats.New()
 	for trial := 0; trial < 40; trial++ {
 		p := enginetest.RandomPattern(rng, 30, false, false)
 		sp := planSimple(t, p, st, core.AlgZStream)
-		events := enginetest.Stream(rng, 60, enginetest.TypeNames, 3)
+		events := enginetest.Stream(rng, 150, enginetest.TypeNames, 3)
 
 		want, _, err := enginetest.RunTree(sp.Compiled, sp.TreeTerms(), events, tree.Config{})
 		if err != nil {
@@ -131,6 +132,7 @@ func TestEngineMatchesTreeEngine(t *testing.T) {
 				}
 				got = append(got, tm.M)
 			}
+			checkIndexes(t, eng)
 		}
 		onlyG, onlyW := match.Diff(got, want)
 		if len(onlyG) > 0 || len(onlyW) > 0 {
@@ -398,7 +400,7 @@ func TestEngineMatchesTreeEngineNegation(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		p := enginetest.RandomPattern(rng, 30, true, false)
 		sp := planSimple(t, p, st, core.AlgZStream)
-		events := enginetest.Stream(rng, 60, enginetest.TypeNames, 3)
+		events := enginetest.Stream(rng, 150, enginetest.TypeNames, 3)
 
 		want, _, err := enginetest.RunTree(sp.Compiled, sp.TreeTerms(), events, tree.Config{})
 		if err != nil {
@@ -415,6 +417,7 @@ func TestEngineMatchesTreeEngineNegation(t *testing.T) {
 			for _, tm := range eng.Process(ev, uint64(i+1)) {
 				got = append(got, tm.M)
 			}
+			checkIndexes(t, eng)
 		}
 		for _, tm := range eng.Flush() {
 			got = append(got, tm.M)
@@ -487,16 +490,31 @@ func TestNegationSharesPositiveCore(t *testing.T) {
 // query arrives, the pair is re-optimized, the successor engine adopts the
 // old state, and the second half flows through it. The old query must see
 // exactly its full-stream matches (nothing dropped or duplicated across the
-// splice); the new query exactly its suffix matches.
+// splice); the new query exactly its suffix matches. The keyed pair joins
+// on x-equality chains, so the adopted buffers are re-indexed (backfill
+// through the index is TestIndexBackfill).
 func TestAdoptFromSplicesWithoutLoss(t *testing.T) {
-	st := stats.New()
-	p1 := pattern.Seq(25, pattern.E("A", "a"), pattern.E("B", "b"), pattern.E("C", "c")).
-		Where(pattern.AttrCmp("a", "x", pattern.Lt, "b", "x"))
-	p2 := pattern.Seq(25, pattern.E("A", "u"), pattern.E("B", "v"), pattern.E("D", "w")).
-		Where(pattern.AttrCmp("u", "x", pattern.Lt, "v", "x"))
-	sp1 := planSimple(t, p1, st, core.AlgZStream)
-	sp2 := planSimple(t, p2, st, core.AlgZStream)
+	for _, tc := range []struct {
+		name string
+		op   pattern.CmpOp
+	}{{"unkeyed", pattern.Lt}, {"keyed", pattern.Eq}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := stats.New()
+			p1 := pattern.Seq(25, pattern.E("A", "a"), pattern.E("B", "b"), pattern.E("C", "c")).
+				Where(pattern.AttrCmp("a", "x", tc.op, "b", "x"))
+			p2 := pattern.Seq(25, pattern.E("A", "u"), pattern.E("B", "v"), pattern.E("D", "w")).
+				Where(pattern.AttrCmp("u", "x", tc.op, "v", "x"))
+			if tc.op == pattern.Eq {
+				p1.Where(pattern.AttrCmp("b", "x", pattern.Eq, "c", "x"))
+				p2.Where(pattern.AttrCmp("v", "x", pattern.Eq, "w", "x"))
+			}
+			checkSpliceWithoutLoss(t, planSimple(t, p1, st, core.AlgZStream), planSimple(t, p2, st, core.AlgZStream))
+		})
+	}
+}
 
+func checkSpliceWithoutLoss(t *testing.T, sp1, sp2 *core.SimplePlan) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	events := enginetest.Stream(rng, 400, enginetest.TypeNames, 2)
 	half := len(events) / 2
@@ -539,6 +557,9 @@ func TestAdoptFromSplicesWithoutLoss(t *testing.T) {
 		}
 		g.Engine.AdoptFrom([]*Engine{g1.Engine}, spliceSeq)
 		engines = append(engines, g.Engine)
+	}
+	for _, eng := range engines {
+		checkIndexes(t, eng)
 	}
 	for i, ev := range events[half:] {
 		for _, eng := range engines {

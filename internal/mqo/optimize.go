@@ -960,7 +960,11 @@ func buildEngine(group []*qstate) (*Engine, error) {
 							orig := fn
 							fn = func(a, b *event.Event) bool { return orig(b, a) }
 						}
-						n.cross = append(n.cross, crossPred{l: li, r: ri, fn: fn})
+						cp := crossPred{l: li, r: ri, fn: fn}
+						if pr.HasCond {
+							cp.eqAttr, _ = pr.Cond.EqualityJoin()
+						}
+						n.cross = append(n.cross, cp)
 					}
 				}
 			}
@@ -997,6 +1001,7 @@ func buildEngine(group []*qstate) (*Engine, error) {
 	}
 	eng.st.Nodes = len(eng.nodes)
 	eng.st.Queries = len(group)
+	wireIndexes(eng.nodes)
 	for _, n := range eng.nodes {
 		// Pre-allocate instance buffers to the cost model's expected volume
 		// (parents are final now, so buffering nodes are known).

@@ -13,8 +13,10 @@ import (
 
 // leakQueries builds an overlapping query set that exercises every pooled
 // instance life-path in the shared DAG: a fully shared A⋈B sub-join, a
-// three-way extension on top of it, an inner negation (kill paths) and a
-// trailing negation (pending queue).
+// three-way extension on top of it, an inner negation (kill paths), a
+// trailing negation (pending queue), and a keyed component whose equi-join
+// edges are indexed (index sweep before recycling, index rebuild on
+// adoption).
 func leakQueries(t testing.TB) []*qstate {
 	t.Helper()
 	st := stats.New()
@@ -30,6 +32,13 @@ func leakQueries(t testing.TB) []*qstate {
 			pattern.E("A", "a"), pattern.Not("D", "nd"), pattern.E("B", "b"))),
 		mk("trailing-neg", pattern.Seq(20,
 			pattern.E("A", "a"), pattern.E("B", "b"), pattern.Not("C", "nc"))),
+		mk("keyed-abc", pattern.Seq(20,
+			pattern.E("A", "a"), pattern.E("B", "b"), pattern.E("C", "c")).
+			Where(pattern.AttrCmp("a", "x", pattern.Eq, "b", "x"),
+				pattern.AttrCmp("b", "x", pattern.Eq, "c", "x"))),
+		mk("keyed-neg", pattern.Seq(20,
+			pattern.E("A", "a"), pattern.Not("D", "nd"), pattern.E("D", "d")).
+			Where(pattern.AttrCmp("a", "x", pattern.Eq, "d", "x"))),
 	}
 }
 
@@ -41,6 +50,9 @@ func assertNoLeak(t *testing.T, e *Engine, label string) {
 	}
 	if live := ps.Live(); live != 0 {
 		t.Fatalf("%s: %d pooled instances leaked (stats %+v)", label, live, ps)
+	}
+	if n := indexEntries(e); n != 0 {
+		t.Fatalf("%s: %d join-index entries survive Close", label, n)
 	}
 }
 
@@ -89,8 +101,8 @@ func TestPoolNoLeakAcrossSplice(t *testing.T) {
 	for i, ev := range events[:half] {
 		old.Process(ev, uint64(i+1))
 	}
-	if old.CurrentPartial() == 0 {
-		t.Fatal("no live state at splice point — test exercises nothing")
+	if old.CurrentPartial() == 0 || indexEntries(old) == 0 {
+		t.Fatal("no live (indexed) state at splice point — test exercises nothing")
 	}
 
 	succ, err := buildEngine(leakQueries(t))
@@ -98,6 +110,7 @@ func TestPoolNoLeakAcrossSplice(t *testing.T) {
 		t.Fatal(err)
 	}
 	succ.AdoptFrom([]*Engine{old}, uint64(half))
+	checkIndexes(t, succ)
 	old.Close()
 	assertNoLeak(t, old, "predecessor after splice")
 
