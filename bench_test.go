@@ -1,9 +1,10 @@
 package cep
 
 // Benchmarks regenerating the paper's evaluation, one per figure (see
-// DESIGN.md §3 for the figure → experiment mapping), plus micro-benchmarks
-// of the engines and planners. Figure benchmarks run a scaled-down workload
-// per iteration; use cmd/cepbench for full-size tables.
+// docs/paper-map.md for the figure → experiment mapping), plus
+// micro-benchmarks of the engines and planners. Figure benchmarks run a
+// scaled-down workload per iteration; use cmd/cepbench for full-size
+// tables.
 
 import (
 	"fmt"

@@ -13,7 +13,7 @@
 // programming over left-deep and bushy plan spaces.
 //
 // Every runtime flavor — Runtime, AdaptiveRuntime, PartitionedRuntime,
-// ShardedRuntime, Fleet — satisfies the unified Detector contract
+// ShardedRuntime — satisfies the unified Detector contract
 // (Process/Flush/Close with errors, no panics on bad input). The front door
 // for serving is Session: register any number of named queries, each with
 // its own declarative QueryConfig, stream one feed through all of them with

@@ -5,6 +5,7 @@
 //
 //	cepbench -fig 4           # one figure (and its sibling, e.g. 4 prints 5 too)
 //	cepbench -fig all         # every figure
+//	cepbench -fig ext         # the extension algorithms beside the paper's
 //	cepbench -events 50000 -persize 4 -fig 10
 //
 // Figures map to the paper as follows: 4/5 per-category throughput/memory;
@@ -12,109 +13,24 @@
 // validation; 17 large-pattern plan quality and planning time; 18
 // throughput/latency trade-off; 19 selection strategies.
 //
-// Beyond the paper, `cepbench -fig shard` measures the sharded concurrent
-// runtime: events/second versus worker count on a bucket-partitioned stock
-// stream, against the sequential PartitionedRuntime baseline. `cepbench
-// -fig session` measures the multi-query Session front door: events/second
-// versus the number of registered queries (1/4/16/64), with a per-query
-// match-count cross-check against independent sequential runs. And
-// `cepbench -fig mqo` measures the multi-query shared-subplan optimizer:
-// 4/16/64 overlapping queries (every fourth a negation pattern sharing the
-// positive core) served by a ShareSubplans session versus the default
-// per-query-worker session, with a shared-vs-unshared match-count
-// cross-check, emitting the rows as JSON for trend tracking. `cepbench
-// -fig churn` measures dynamic multi-query optimization: queries register
-// and deregister mid-feed on a live sharing session, reporting feed
-// throughput, per-operation re-optimization latency and a match-count
-// cross-check against private runtimes, as JSON rows. Finally, `cepbench
-// -fig drift` measures session-level adaptivity: a mid-stream regime shift
-// (symbol rates invert) is processed by a static-shared, an
-// adaptive-shared and an oracle-replanned session; the adaptive session
-// must detect the drift, re-optimize the affected sharing components
-// (dissolving the sharing that stopped winning, forming the newly
-// profitable one), recover at least half of the static-to-oracle phase-2
-// throughput gap, reproduce the private runtimes' match counts exactly,
-// and keep a stationary control run at zero re-optimizations. Phase
-// timings use process CPU time and the recovery fraction is the median of
-// per-repetition, same-epoch ratios, so the gate holds on a shared noisy
-// box (see runDriftScenario).
-//
-// `cepbench -fig batch` measures the batched intake hot path: the mqo
-// workload fed through SubmitBatch at increasing batch sizes (per-event,
-// 16, 256) for each query count, with a per-query match-count cross-check
-// between all batch sizes. `-batch-json FILE` also writes the rows as a
-// JSON file; cmd/benchdiff compares two such files (regression gate) or
-// asserts a minimum intra-file speedup (batching gate) in CI.
-//
-// `cepbench -fig index` measures the ingress filter index
-// (SessionConfig.FilterIndex): many selectively-filtered two-symbol
-// queries (constant equality and range predicates) served by one session
-// with the index on versus off — broadcast fan-out versus two-stage
-// discrimination — at 64, 1000 and 10000 registered queries, with a
-// per-query match cross-check at the smallest count. Rows carry fig
-// "index-on"/"index-off" so cmd/benchdiff's speedup gate can divide the
-// 1000-query pair. `-index-json FILE` writes the rows for CI
-// (BENCH_index.json is the committed snapshot).
-//
-// `cepbench -fig telemetry` measures the overhead of the always-on
-// telemetry layer (Session.Metrics): the mqo workload fed with telemetry
-// at its defaults versus TelemetryConfig{Disabled: true}, best of three
-// repetitions each, with an on-vs-off match cross-check and a dump of the
-// final unified metrics snapshot. Rows carry fig
-// "telemetry-on"/"telemetry-off" so cmd/benchdiff's speedup gate
-// (`-min-speedup 0.95 -at fig=telemetry-on -vs fig=telemetry-off`) can
-// assert the instrumentation costs at most ~5%. `-telemetry-json FILE`
-// writes the rows for CI.
-//
-// `cepbench -fig trace` measures the overhead of the event-tracing and
-// match-provenance layer (SessionConfig.Trace): the mqo workload fed with
-// tracing off, with 1-in-64 sampled span traces, and with sampling plus
-// per-match provenance, best of three repetitions each, with a match
-// cross-check across all three modes and a span walk of one retained
-// trace. Rows carry fig "trace-off"/"trace-on"/"trace-prov" so
-// cmd/benchdiff's speedup gate (`-min-speedup 0.95 -at fig=trace-on -vs
-// fig=trace-off`) can assert the sampled instrumentation costs at most
-// ~5%. `-trace-json FILE` writes the rows for CI (BENCH_trace.json is the
-// committed snapshot).
-//
-// `cepbench -fig partition` measures key-partitioned shared evaluation
-// (SessionConfig.PartitionWorkers): overlapping fully keyed queries — every
-// positive position chained by k-equality, all sharing one hot (A ⋈ B)
-// sub-join — served by the same sharing session at 1, 2 and 4 partition
-// lanes per component. The quadratic nested-loop combine work divides by
-// the lane count even on one core (each lane probes only its hash bucket's
-// buffer slice), so the speedup is algorithmic, not parallel. Per-query
-// match counts are cross-checked across every lane count. Rows carry fig
-// "partition-p1"/"partition-p2"/"partition-p4" so cmd/benchdiff's speedup
-// gate (`-min-speedup 1.5 -at fig=partition-p4 -vs fig=partition-p1`) can
-// hold the committed ratio. `-partition-json FILE` writes the rows for CI
-// (BENCH_partition.json is the committed snapshot).
+// The serving path (Session, SubmitBatch → sink) is measured by the
+// benchmark spine in bench/, not here.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
-	"sort"
 	"strconv"
-	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
-	cep "repro"
 	"repro/internal/event"
 	"repro/internal/harness"
-	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure number (4-19) or 'all'")
+		fig      = flag.String("fig", "all", "figure number (4-19), 'all' or 'ext'")
 		symbols  = flag.Int("symbols", 32, "stock symbols in the universe")
 		events   = flag.Int("events", 8000, "events in the generated stream")
 		windowMS = flag.Int64("window", 4000, "pattern window in milliseconds")
@@ -123,106 +39,20 @@ func main() {
 		maxSize  = flag.Int("maxsize", 7, "largest pattern size for execution figures")
 		dpldCap  = flag.Int("dpld-cap", 18, "largest pattern size planned with DP-LD in Fig 17")
 		dpbCap   = flag.Int("dpb-cap", 14, "largest pattern size planned with DP-B in Fig 17")
-		shardGen = flag.Int("shard-events", 200000, "events in the sharded-throughput stream (-fig shard)")
-		shardPar = flag.Int("shard-partitions", 64, "partitions in the sharded-throughput stream (-fig shard)")
-		sessGen  = flag.Int("session-events", 50000, "events in the multi-query stream (-fig session)")
-		mqoGen   = flag.Int("mqo-events", 50000, "events in the shared-subplan stream (-fig mqo)")
-		mqoQs    = flag.String("mqo-queries", "4,16,64", "overlapping query counts (-fig mqo)")
-		churnGen = flag.Int("churn-events", 40000, "events in the churn stream (-fig churn)")
-		churnQs  = flag.Int("churn-queries", 8, "queries registered up front (-fig churn)")
-		churnOps = flag.Int("churn-ops", 8, "AddQuery/RemoveQuery operations mid-feed (-fig churn)")
-		driftGen = flag.Int("drift-events", 200000, "events in the regime-shift stream (-fig drift)")
-		driftFam = flag.Int("drift-family", 4, "queries per sharing family (-fig drift, max 4)")
-		batchGen = flag.Int("batch-events", 50000, "events in the batched-intake stream (-fig batch)")
-		batchQs  = flag.String("batch-queries", "1,16,64", "overlapping query counts (-fig batch)")
-		batchSz  = flag.String("batch-sizes", "1,16,256", "SubmitBatch sizes; first is the cross-check reference (-fig batch)")
-		batchOut = flag.String("batch-json", "", "also write the batch rows as a JSON file (-fig batch)")
-		indexGen = flag.Int("index-events", 40000, "events in the filter-index stream (-fig index)")
-		indexQs  = flag.String("index-queries", "64,1000,10000", "registered query counts; matches cross-checked at the first (-fig index)")
-		indexOut = flag.String("index-json", "", "also write the index rows as a JSON file (-fig index)")
-		telGen   = flag.Int("telemetry-events", 50000, "events in the telemetry-overhead stream (-fig telemetry)")
-		telQs    = flag.String("telemetry-queries", "16,64", "overlapping query counts (-fig telemetry)")
-		telOut   = flag.String("telemetry-json", "", "also write the telemetry rows as a JSON file (-fig telemetry)")
-		traceGen = flag.Int("trace-events", 50000, "events in the tracing-overhead stream (-fig trace)")
-		traceQs  = flag.String("trace-queries", "16,64", "overlapping query counts (-fig trace)")
-		traceOut = flag.String("trace-json", "", "also write the trace rows as a JSON file (-fig trace)")
-		partGen  = flag.Int("partition-events", 60000, "events in the partitioned-evaluation stream (-fig partition)")
-		partQs   = flag.String("partition-queries", "16,64", "overlapping keyed query counts (-fig partition)")
-		partPs   = flag.String("partition-workers", "1,2,4", "partition lane counts; the first is the cross-check reference (-fig partition)")
-		partWin  = flag.Int64("partition-window", 3000, "keyed-query window in milliseconds (-fig partition)")
-		partOut  = flag.String("partition-json", "", "also write the partition rows as a JSON file (-fig partition)")
 	)
 	flag.Parse()
 
-	if *fig == "shard" {
-		if err := runShardScenario(*symbols, *shardGen, *shardPar, event.Time(*windowMS), *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: shard scenario: %v\n", err)
-			os.Exit(1)
+	figures := harness.AllFigures()
+	switch *fig {
+	case "all", "ext":
+	default:
+		n, err := strconv.Atoi(*fig)
+		if err != nil || n < 4 || n > 19 {
+			fmt.Fprintf(os.Stderr, "cepbench: invalid -fig %q (4-19, 'all' or 'ext')\n", *fig)
+			flag.Usage()
+			os.Exit(2)
 		}
-		return
-	}
-	if *fig == "session" {
-		if err := runSessionScenario(*symbols, *sessGen, event.Time(*windowMS), *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: session scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "mqo" {
-		if err := runMQOScenario(*symbols, *mqoGen, *mqoQs, event.Time(*windowMS), *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: mqo scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "churn" {
-		if err := runChurnScenario(*symbols, *churnGen, *churnQs, *churnOps, event.Time(*windowMS), *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: churn scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "drift" {
-		if err := runDriftScenario(*driftGen, *driftFam, event.Time(*windowMS), *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: drift scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "batch" {
-		if err := runBatchScenario(*symbols, *batchGen, *batchQs, *batchSz, event.Time(*windowMS), *seed, *batchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: batch scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "index" {
-		if err := runIndexScenario(*indexGen, *indexQs, event.Time(*windowMS), *seed, *indexOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: index scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "telemetry" {
-		if err := runTelemetryScenario(*symbols, *telGen, *telQs, event.Time(*windowMS), *seed, *telOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: telemetry scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "trace" {
-		if err := runTraceScenario(*symbols, *traceGen, *traceQs, event.Time(*windowMS), *seed, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: trace scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "partition" {
-		if err := runPartitionScenario(*partGen, *partQs, *partPs, event.Time(*partWin), *seed, *partOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: partition scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		figures = []int{n}
 	}
 
 	sizes := make([]int, 0, *maxSize-2)
@@ -256,15 +86,6 @@ func main() {
 		fmt.Printf("(extension tables computed in %v)\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
-	figures := harness.AllFigures()
-	if *fig != "all" {
-		n, err := strconv.Atoi(*fig)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cepbench: invalid -fig %q (4-19, 'all', 'ext', 'shard', 'session', 'mqo', 'churn', 'drift', 'batch', 'index', 'telemetry', 'trace' or 'partition')\n", *fig)
-			os.Exit(2)
-		}
-		figures = []int{n}
-	}
 	for _, n := range figures {
 		start := time.Now()
 		tables, err := runner.Figure(n)
@@ -277,1715 +98,4 @@ func main() {
 		}
 		fmt.Printf("(figure %d computed in %v)\n\n", n, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// runSessionScenario measures the multi-query Session: one stock stream fans
-// out to 1, 4, 16 and 64 registered queries, reporting the feed's
-// events/second (one pass through the session serves all queries) against
-// the summed time of independent sequential Runtime passes. Every session
-// run must reproduce the sequential per-query match counts — the table is
-// also a correctness check.
-func runSessionScenario(symbols, events int, window event.Time, seed int64) error {
-	if symbols < 4 {
-		return fmt.Errorf("-symbols must be at least 4 (query templates span four symbols), got %d", symbols)
-	}
-	stocks := workload.NewStocks(workload.StockConfig{
-		Symbols: symbols, Events: events, Seed: seed, MinRate: 1, MaxRate: 20,
-	})
-	stream := stocks.Generate()
-	fmt.Printf("session scenario: %d events over %d symbols, window %dms\n\n", len(stream), symbols, window)
-
-	// Deterministic query set: cycling templates over rng-drawn symbol
-	// combinations, each planned from its own measured statistics.
-	rng := rand.New(rand.NewSource(seed + 23))
-	makeQueries := func(n int) ([]cep.QueryConfig, error) {
-		out := make([]cep.QueryConfig, 0, n)
-		for i := 0; i < n; i++ {
-			syms := rng.Perm(symbols)
-			var src string
-			switch i % 3 {
-			case 0:
-				src = fmt.Sprintf(
-					`PATTERN SEQ(S%03d a, S%03d b) WHERE a.difference < b.difference WITHIN %d ms`,
-					syms[0], syms[1], window)
-			case 1:
-				src = fmt.Sprintf(
-					`PATTERN AND(S%03d a, S%03d b, S%03d c) WHERE a.bucket = b.bucket WITHIN %d ms`,
-					syms[0], syms[1], syms[2], window/2)
-			default:
-				src = fmt.Sprintf(
-					`PATTERN SEQ(S%03d a, NOT(S%03d n), S%03d b) WITHIN %d ms`,
-					syms[0], syms[1], syms[2], window)
-			}
-			p, err := cep.ParsePatternWith(src, stocks.Registry)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cep.QueryConfig{
-				Name:    fmt.Sprintf("q%02d", i),
-				Pattern: p,
-				Stats:   cep.Measure(stream, p),
-			})
-		}
-		return out, nil
-	}
-
-	table := harness.Table{
-		Title:   "Session throughput (feed events/s) vs registered queries",
-		Columns: []string{"queries", "events/s", "seq events/s", "speedup", "matches", "elapsed", "seq elapsed"},
-	}
-	for _, n := range []int{1, 4, 16, 64} {
-		queries, err := makeQueries(n)
-		if err != nil {
-			return err
-		}
-		// Sequential reference: one independent runtime pass per query.
-		seqCounts := make(map[string]int, n)
-		seqTotal := 0
-		seqStart := time.Now()
-		for _, qc := range queries {
-			rt, err := cep.NewFromConfig(qc)
-			if err != nil {
-				return err
-			}
-			ms, err := rt.ProcessAll(workload.ResetStream(stream))
-			if err != nil {
-				return err
-			}
-			seqCounts[qc.Name] = len(ms)
-			seqTotal += len(ms)
-		}
-		seqElapsed := time.Since(seqStart)
-		// The sequential reference re-reads the feed once per query.
-		seqRate := float64(len(stream)) / seqElapsed.Seconds()
-
-		s := cep.NewSession(cep.SessionConfig{QueueLen: 1024})
-		for _, qc := range queries {
-			if err := s.Register(qc); err != nil {
-				return err
-			}
-		}
-		evs := workload.ResetStream(stream)
-		start := time.Now()
-		if err := s.Run(context.Background(), cep.NewStream(evs)); err != nil {
-			return err
-		}
-		if _, err := s.Flush(); err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		rate := float64(len(stream)) / elapsed.Seconds()
-
-		matches := fmt.Sprint(seqTotal)
-		for _, qc := range queries {
-			if got := len(s.Matches(qc.Name)); got != seqCounts[qc.Name] {
-				matches = fmt.Sprintf("%s (MISMATCH: %s got %d, want %d)", matches, qc.Name, got, seqCounts[qc.Name])
-				break
-			}
-		}
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprint(n), fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.0f", seqRate),
-			fmt.Sprintf("%.2f", rate/seqRate), matches,
-			elapsed.Round(time.Millisecond).String(), seqElapsed.Round(time.Millisecond).String(),
-		})
-	}
-	table.Fprint(os.Stdout)
-	return nil
-}
-
-// mqoRow is one measurement of the shared-subplan scenario, emitted as
-// JSON for CI trend tracking.
-type mqoRow struct {
-	Queries        int     `json:"queries"`
-	SharedRate     float64 `json:"shared_events_per_sec"`
-	UnsharedRate   float64 `json:"unshared_events_per_sec"`
-	Speedup        float64 `json:"speedup"`
-	Matches        int     `json:"matches"`
-	MatchesOK      bool    `json:"matches_ok"`
-	SharedQueries  int     `json:"shared_queries"`
-	DAGNodes       int     `json:"dag_nodes"`
-	DAGSharedNodes int     `json:"dag_shared_nodes"`
-	Restructured   int     `json:"restructured"`
-	ModelUnshared  float64 `json:"model_unshared_cost"`
-	ModelShared    float64 `json:"model_shared_cost"`
-}
-
-// runMQOScenario measures the multi-query shared-subplan optimizer: N
-// overlapping queries — all joining the same hot symbol pair, each with its
-// own tail symbol — served by a ShareSubplans session versus the default
-// per-query-worker session, on the same stream. Every run must reproduce
-// the unshared per-query match counts — the table is also a correctness
-// check. The rows are emitted both as a table and as a JSON array on
-// stdout.
-func runMQOScenario(symbols, events int, queryCounts string, window event.Time, seed int64) error {
-	if symbols < 4 {
-		return fmt.Errorf("-symbols must be at least 4 (hot pair + tails), got %d", symbols)
-	}
-	var counts []int
-	for _, part := range strings.Split(queryCounts, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return fmt.Errorf("invalid -mqo-queries %q", queryCounts)
-		}
-		counts = append(counts, n)
-	}
-	stocks := workload.NewStocks(workload.StockConfig{
-		Symbols: symbols, Events: events, Seed: seed, MinRate: 1, MaxRate: 20,
-	})
-	stream := stocks.Generate()
-	// The hot pair: the two fastest symbols, so the shared (a ⋈ b) sub-join
-	// carries the bulk of the work; tails cycle over the remaining symbols.
-	type symRate struct {
-		name string
-		rate float64
-	}
-	bySpeed := make([]symRate, 0, len(stocks.Symbols))
-	for _, s := range stocks.Symbols {
-		bySpeed = append(bySpeed, symRate{s, stocks.Rates[s]})
-	}
-	sort.Slice(bySpeed, func(i, j int) bool { return bySpeed[i].rate > bySpeed[j].rate })
-	hotA, hotB := bySpeed[0].name, bySpeed[1].name
-	tails := bySpeed[2:]
-	fmt.Printf("mqo scenario: %d events over %d symbols, window %dms, hot pair %s⋈%s\n\n",
-		len(stream), symbols, window, hotA, hotB)
-
-	makeQueries := func(n int) ([]cep.QueryConfig, error) {
-		out := make([]cep.QueryConfig, 0, n)
-		for i := 0; i < n; i++ {
-			tail := tails[i%len(tails)].name
-			var src string
-			if i%4 == 3 {
-				// Every fourth query is a negation pattern: the positive core
-				// (a, b, c) still shares with the plain queries; the NOT is
-				// checked at this query's root only.
-				neg := tails[(i+1)%len(tails)].name
-				src = fmt.Sprintf(
-					`PATTERN SEQ(%s a, %s b, NOT(%s n), %s c)
-					 WHERE a.bucket = b.bucket AND a.difference < b.difference AND b.difference < c.difference
-					 WITHIN %d ms`,
-					hotA, hotB, neg, tail, window)
-			} else {
-				src = fmt.Sprintf(
-					`PATTERN SEQ(%s a, %s b, %s c)
-					 WHERE a.bucket = b.bucket AND a.difference < b.difference AND b.difference < c.difference
-					 WITHIN %d ms`,
-					hotA, hotB, tail, window)
-			}
-			p, err := cep.ParsePatternWith(src, stocks.Registry)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cep.QueryConfig{
-				Name:    fmt.Sprintf("q%02d", i),
-				Pattern: p,
-				Stats:   cep.Measure(stream, p),
-			})
-		}
-		return out, nil
-	}
-
-	runSession := func(queries []cep.QueryConfig, share bool) (time.Duration, map[string]int, *cep.ShareReport, error) {
-		s := cep.NewSession(cep.SessionConfig{QueueLen: 1024, ShareSubplans: share})
-		for _, qc := range queries {
-			if err := s.Register(qc); err != nil {
-				return 0, nil, nil, err
-			}
-		}
-		evs := workload.ResetStream(stream)
-		start := time.Now()
-		if err := s.Run(context.Background(), cep.NewStream(evs)); err != nil {
-			return 0, nil, nil, err
-		}
-		if _, err := s.Flush(); err != nil {
-			return 0, nil, nil, err
-		}
-		elapsed := time.Since(start)
-		perQuery := make(map[string]int, len(queries))
-		for _, qc := range queries {
-			perQuery[qc.Name] = len(s.Matches(qc.Name))
-		}
-		return elapsed, perQuery, s.ShareReport(), nil
-	}
-
-	table := harness.Table{
-		Title: "Shared-subplan session throughput (feed events/s), shared vs unshared",
-		Columns: []string{"queries", "shared ev/s", "unshared ev/s", "speedup",
-			"matches", "shared queries", "dag nodes", "elapsed", "unshared elapsed"},
-	}
-	var rows []mqoRow
-	for _, n := range counts {
-		queries, err := makeQueries(n)
-		if err != nil {
-			return err
-		}
-		unElapsed, unCounts, _, err := runSession(queries, false)
-		if err != nil {
-			return err
-		}
-		shElapsed, shCounts, report, err := runSession(queries, true)
-		if err != nil {
-			return err
-		}
-		row := mqoRow{
-			Queries:      n,
-			SharedRate:   float64(len(stream)) / shElapsed.Seconds(),
-			UnsharedRate: float64(len(stream)) / unElapsed.Seconds(),
-			MatchesOK:    true,
-		}
-		row.Speedup = row.SharedRate / row.UnsharedRate
-		matches := 0
-		for name, want := range unCounts {
-			matches += want
-			if shCounts[name] != want {
-				row.MatchesOK = false
-			}
-		}
-		row.Matches = matches
-		if report != nil {
-			row.SharedQueries = report.Shared
-			row.DAGNodes = report.Nodes
-			row.DAGSharedNodes = report.SharedNodes
-			row.Restructured = report.Restructured
-			row.ModelUnshared = report.UnsharedCost
-			row.ModelShared = report.SharedCost
-		}
-		rows = append(rows, row)
-		matchCell := fmt.Sprint(matches)
-		if !row.MatchesOK {
-			matchCell += " (MISMATCH shared vs unshared!)"
-		}
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprint(n), fmt.Sprintf("%.0f", row.SharedRate), fmt.Sprintf("%.0f", row.UnsharedRate),
-			fmt.Sprintf("%.2f", row.Speedup), matchCell, fmt.Sprint(row.SharedQueries),
-			fmt.Sprint(row.DAGNodes),
-			shElapsed.Round(time.Millisecond).String(), unElapsed.Round(time.Millisecond).String(),
-		})
-	}
-	table.Fprint(os.Stdout)
-	blob, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nJSON: %s\n", blob)
-	for _, row := range rows {
-		if !row.MatchesOK {
-			return fmt.Errorf("match-count mismatch at %d queries", row.Queries)
-		}
-	}
-	return nil
-}
-
-// batchRow is one (query count, batch size) measurement of the batched
-// intake scenario; the keys (fig, queries, batch) identify a row across
-// BENCH_*.json files for cmd/benchdiff.
-type batchRow struct {
-	Fig          string  `json:"fig"`
-	Queries      int     `json:"queries"`
-	Batch        int     `json:"batch"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup_vs_ref"`
-	Matches      int     `json:"matches"`
-	MatchesOK    bool    `json:"matches_ok"`
-	ElapsedMS    int64   `json:"elapsed_ms"`
-}
-
-// runBatchScenario measures the batched intake hot path on the mqo
-// workload: N overlapping queries (hot pair ⋈ tails, every fourth a
-// negation pattern) on a ShareSubplans session, fed through SubmitBatch in
-// chunks of each configured size. Batch size 1 degenerates to per-event
-// Submit. The first configured size is the reference: every other size
-// must reproduce its per-query match counts exactly, so the table doubles
-// as a batching-semantics check. Rows go to stdout as a table and a JSON
-// array, and to jsonPath as a JSON file when set — the input format of
-// cmd/benchdiff.
-func runBatchScenario(symbols, events int, queryCounts, batchSizes string, window event.Time, seed int64, jsonPath string) error {
-	if symbols < 12 {
-		return fmt.Errorf("-symbols must be at least 12 (four hot pairs + tails), got %d", symbols)
-	}
-	parseInts := func(flagName, s string) ([]int, error) {
-		var out []int
-		for _, part := range strings.Split(s, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("invalid %s %q", flagName, s)
-			}
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	counts, err := parseInts("-batch-queries", queryCounts)
-	if err != nil {
-		return err
-	}
-	sizes, err := parseInts("-batch-sizes", batchSizes)
-	if err != nil {
-		return err
-	}
-	stocks := workload.NewStocks(workload.StockConfig{
-		Symbols: symbols, Events: events, Seed: seed, MinRate: 1, MaxRate: 20,
-	})
-	stream := stocks.Generate()
-	type symRate struct {
-		name string
-		rate float64
-	}
-	bySpeed := make([]symRate, 0, len(stocks.Symbols))
-	for _, s := range stocks.Symbols {
-		bySpeed = append(bySpeed, symRate{s, stocks.Rates[s]})
-	}
-	sort.Slice(bySpeed, func(i, j int) bool { return bySpeed[i].rate > bySpeed[j].rate })
-	// Queries are grouped into up to four sharing families, each joining its
-	// own hot pair: the optimizer builds one shared component (one pool lane)
-	// per family, so the per-event cost of a Submit is one queue handoff per
-	// lane — exactly what SubmitBatch amortizes.
-	const families = 4
-	tails := bySpeed[2*families:]
-	fmt.Printf("batch scenario: %d events over %d symbols, window %dms, %d hot-pair families, batch sizes %v\n\n",
-		len(stream), symbols, window, families, sizes)
-
-	makeQueries := func(n int) ([]cep.QueryConfig, error) {
-		out := make([]cep.QueryConfig, 0, n)
-		for i := 0; i < n; i++ {
-			fam := (i / 4) % families
-			famA, famB := bySpeed[2*fam].name, bySpeed[2*fam+1].name
-			tail := tails[i%len(tails)].name
-			var src string
-			if i%4 == 3 {
-				neg := tails[(i+1)%len(tails)].name
-				src = fmt.Sprintf(
-					`PATTERN SEQ(%s a, %s b, NOT(%s n), %s c)
-					 WHERE a.bucket = b.bucket AND a.bucket = %d AND b.bucket = c.bucket AND a.difference < b.difference AND b.difference < c.difference
-					 WITHIN %d ms`,
-					famA, famB, neg, tail, i%4, window)
-			} else {
-				src = fmt.Sprintf(
-					`PATTERN SEQ(%s a, %s b, %s c)
-					 WHERE a.bucket = b.bucket AND a.bucket = %d AND b.bucket = c.bucket AND a.difference < b.difference AND b.difference < c.difference
-					 WITHIN %d ms`,
-					famA, famB, tail, i%4, window)
-			}
-			p, err := cep.ParsePatternWith(src, stocks.Registry)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cep.QueryConfig{
-				Name:    fmt.Sprintf("q%02d", i),
-				Pattern: p,
-				Stats:   cep.Measure(stream, p),
-			})
-		}
-		return out, nil
-	}
-
-	runBatched := func(queries []cep.QueryConfig, batch int) (time.Duration, map[string]int, error) {
-		s := cep.NewSession(cep.SessionConfig{QueueLen: 1024, ShareSubplans: true})
-		for _, qc := range queries {
-			if err := s.Register(qc); err != nil {
-				return 0, nil, err
-			}
-		}
-		if err := s.Start(); err != nil {
-			return 0, nil, err
-		}
-		evs := workload.ResetStream(stream)
-		start := time.Now()
-		if batch <= 1 {
-			for _, ev := range evs {
-				if err := s.Submit(ev); err != nil {
-					return 0, nil, err
-				}
-			}
-		} else {
-			for i := 0; i < len(evs); i += batch {
-				end := i + batch
-				if end > len(evs) {
-					end = len(evs)
-				}
-				if err := s.SubmitBatch(evs[i:end]); err != nil {
-					return 0, nil, err
-				}
-			}
-		}
-		if _, err := s.Flush(); err != nil {
-			return 0, nil, err
-		}
-		elapsed := time.Since(start)
-		perQuery := make(map[string]int, len(queries))
-		for _, qc := range queries {
-			perQuery[qc.Name] = len(s.Matches(qc.Name))
-		}
-		return elapsed, perQuery, nil
-	}
-
-	table := harness.Table{
-		Title:   "Batched intake throughput (feed events/s) by SubmitBatch size",
-		Columns: []string{"queries", "batch", "ev/s", "speedup vs ref", "matches", "elapsed"},
-	}
-	var rows []batchRow
-	for _, n := range counts {
-		queries, err := makeQueries(n)
-		if err != nil {
-			return err
-		}
-		var refRate float64
-		var refCounts map[string]int
-		for si, b := range sizes {
-			elapsed, perQuery, err := runBatched(queries, b)
-			if err != nil {
-				return err
-			}
-			row := batchRow{
-				Fig:          "batch",
-				Queries:      n,
-				Batch:        b,
-				EventsPerSec: float64(len(stream)) / elapsed.Seconds(),
-				MatchesOK:    true,
-				ElapsedMS:    elapsed.Milliseconds(),
-			}
-			if si == 0 {
-				refRate, refCounts = row.EventsPerSec, perQuery
-			}
-			row.Speedup = row.EventsPerSec / refRate
-			for name, want := range refCounts {
-				row.Matches += perQuery[name]
-				if perQuery[name] != want {
-					row.MatchesOK = false
-				}
-			}
-			rows = append(rows, row)
-			matchCell := fmt.Sprint(row.Matches)
-			if !row.MatchesOK {
-				matchCell += " (MISMATCH vs reference batch size!)"
-			}
-			table.Rows = append(table.Rows, []string{
-				fmt.Sprint(n), fmt.Sprint(b), fmt.Sprintf("%.0f", row.EventsPerSec),
-				fmt.Sprintf("%.2f", row.Speedup), matchCell,
-				elapsed.Round(time.Millisecond).String(),
-			})
-		}
-	}
-	table.Fprint(os.Stdout)
-	blob, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nJSON: %s\n", blob)
-	if jsonPath != "" {
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("(rows written to %s)\n", jsonPath)
-	}
-	for _, row := range rows {
-		if !row.MatchesOK {
-			return fmt.Errorf("match-count mismatch at %d queries, batch %d", row.Queries, row.Batch)
-		}
-	}
-	return nil
-}
-
-// indexRow is one (index on/off, query count) measurement of the ingress
-// filter-index scenario. The index state is encoded in Fig ("index-on" /
-// "index-off") so the row keeps the fig/queries/batch key cmd/benchdiff
-// understands: its -min-speedup gate divides the events_per_sec of the two
-// rows sharing a query count. Events is recorded per row because the off
-// runs at high query counts process a reduced stream (broadcast fan-out is
-// too slow to feed the full one); rates are per-second either way, so the
-// pairs stay comparable.
-type indexRow struct {
-	Fig          string  `json:"fig"`
-	Queries      int     `json:"queries"`
-	Batch        int     `json:"batch"`
-	Events       int     `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup_vs_off"`
-	Matches      int64   `json:"matches"`
-	MatchesOK    bool    `json:"matches_ok"`
-	ElapsedMS    int64   `json:"elapsed_ms"`
-}
-
-// runIndexScenario measures the ingress filter index
-// (SessionConfig.FilterIndex) on a workload built for discrimination
-// rather than joins: 16 event types carrying one attribute v in 0..399, and
-// n two-term SEQ queries whose constant predicates (equality on both
-// positions; every fourth query a ten-wide range band on the first) make
-// each query care about a tiny slice of the stream. A broadcast session
-// pays one queue handoff per registered lane per event; the filter index
-// pays one type dispatch plus a hash/bound-list probe and hands the event
-// only to the lanes whose subscription it satisfies. Each configured query
-// count runs index-off then index-on over the same stream; per-query match
-// counts are cross-checked at the first (smallest) count, where the off
-// run still covers the full stream. Rows go to stdout as a table and JSON,
-// and to jsonPath when set — the input of cmd/benchdiff's speedup gate.
-func runIndexScenario(events int, queryCounts string, window event.Time, seed int64, jsonPath string) error {
-	var counts []int
-	for _, part := range strings.Split(queryCounts, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return fmt.Errorf("invalid -index-queries %q", queryCounts)
-		}
-		counts = append(counts, n)
-	}
-
-	const nTypes = 16
-	const vCard = 400
-	const feedBatch = 256
-	schemas := make([]*event.Schema, nTypes)
-	typeNames := make([]string, nTypes)
-	for i := range schemas {
-		typeNames[i] = fmt.Sprintf("T%02d", i)
-		schemas[i] = event.NewSchema(typeNames[i], "v")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	stream := make([]*event.Event, events)
-	for i := range stream {
-		stream[i] = event.New(schemas[rng.Intn(nTypes)], event.Time(i+1), float64(rng.Intn(vCard)))
-	}
-	cep.Stamp(stream)
-
-	// The query generator restarts from the same seed for every run, so the
-	// on and off sessions of a count register identical query sets.
-	makeQueries := func(n int) []cep.QueryConfig {
-		qrng := rand.New(rand.NewSource(seed + 1))
-		out := make([]cep.QueryConfig, n)
-		for i := range out {
-			ta := typeNames[qrng.Intn(nTypes)]
-			tb := typeNames[qrng.Intn(nTypes)]
-			p := cep.Seq(window, cep.E(ta, "a"), cep.E(tb, "b"))
-			if i%4 == 3 {
-				lo := float64(qrng.Intn(vCard - 10))
-				p = p.Where(
-					cep.Cmp(cep.Ref("a", "v"), cep.Ge, cep.Const(lo)),
-					cep.Cmp(cep.Ref("a", "v"), cep.Lt, cep.Const(lo+10)),
-					cep.Cmp(cep.Ref("b", "v"), cep.Eq, cep.Const(float64(qrng.Intn(vCard)))),
-				)
-			} else {
-				p = p.Where(
-					cep.Cmp(cep.Ref("a", "v"), cep.Eq, cep.Const(float64(qrng.Intn(vCard)))),
-					cep.Cmp(cep.Ref("b", "v"), cep.Eq, cep.Const(float64(qrng.Intn(vCard)))),
-				)
-			}
-			out[i] = cep.QueryConfig{Name: fmt.Sprintf("q%05d", i), Pattern: p}
-		}
-		return out
-	}
-
-	// Matches are counted through OnMatch (and the sessions closed) so a
-	// 10000-query run neither retains every match nor leaks 10000 workers.
-	// Stats stay nil: Measure over 10000 patterns would dominate the run,
-	// and two-term plans have only one shape anyway.
-	run := func(n, nEvents int, filterIndex bool) (time.Duration, []int64, *cep.IndexReport, error) {
-		queries := makeQueries(n)
-		matched := make([]atomic.Int64, n)
-		s := cep.NewSession(cep.SessionConfig{QueueLen: 64, FilterIndex: filterIndex})
-		for i, qc := range queries {
-			c := &matched[i]
-			qc.OnMatch = func(*cep.Match) { c.Add(1) }
-			if err := s.Register(qc); err != nil {
-				return 0, nil, nil, err
-			}
-		}
-		if err := s.Start(); err != nil {
-			return 0, nil, nil, err
-		}
-		evs := workload.ResetStream(stream[:nEvents])
-		start := time.Now()
-		for i := 0; i < len(evs); i += feedBatch {
-			end := min(i+feedBatch, len(evs))
-			if err := s.SubmitBatch(evs[i:end]); err != nil {
-				return 0, nil, nil, err
-			}
-		}
-		if _, err := s.Flush(); err != nil {
-			return 0, nil, nil, err
-		}
-		elapsed := time.Since(start)
-		rep := s.IndexReport()
-		if err := s.Close(); err != nil {
-			return 0, nil, nil, err
-		}
-		perQuery := make([]int64, n)
-		for i := range matched {
-			perQuery[i] = matched[i].Load()
-		}
-		return elapsed, perQuery, rep, nil
-	}
-
-	fmt.Printf("index scenario: %d events over %d types, window %dms, feed batch %d; index-off runs a reduced stream at high query counts\n\n",
-		events, nTypes, window, feedBatch)
-	table := harness.Table{
-		Title:   "Ingress filter index: feed throughput (events/s), index on vs off",
-		Columns: []string{"queries", "index", "events", "ev/s", "speedup vs off", "matches", "elapsed"},
-	}
-	var rows []indexRow
-	crossChecked := true
-	for ci, n := range counts {
-		// Broadcast cost grows linearly with the lane count, so the off run
-		// gets a budget of ~4M lane handoffs: full stream at 64 queries,
-		// 4000 events at 1000, 400 at 10000.
-		offEvents := min(events, max(250, 4_000_000/n))
-		offElapsed, offCounts, _, err := run(n, offEvents, false)
-		if err != nil {
-			return fmt.Errorf("queries=%d index-off: %w", n, err)
-		}
-		onElapsed, onCounts, rep, err := run(n, events, true)
-		if err != nil {
-			return fmt.Errorf("queries=%d index-on: %w", n, err)
-		}
-		matchesOK := true
-		if ci == 0 && offEvents == events {
-			for i := range onCounts {
-				if onCounts[i] != offCounts[i] {
-					matchesOK = false
-					crossChecked = false
-				}
-			}
-		}
-		offRate := float64(offEvents) / offElapsed.Seconds()
-		onRate := float64(events) / onElapsed.Seconds()
-		var offTotal, onTotal int64
-		for _, c := range offCounts {
-			offTotal += c
-		}
-		for _, c := range onCounts {
-			onTotal += c
-		}
-		pair := []indexRow{
-			{Fig: "index-off", Queries: n, Batch: feedBatch, Events: offEvents,
-				EventsPerSec: offRate, Speedup: 1, Matches: offTotal, MatchesOK: matchesOK,
-				ElapsedMS: offElapsed.Milliseconds()},
-			{Fig: "index-on", Queries: n, Batch: feedBatch, Events: events,
-				EventsPerSec: onRate, Speedup: onRate / offRate, Matches: onTotal, MatchesOK: matchesOK,
-				ElapsedMS: onElapsed.Milliseconds()},
-		}
-		rows = append(rows, pair...)
-		for _, row := range pair {
-			matchCell := fmt.Sprint(row.Matches)
-			if !row.MatchesOK {
-				matchCell += " (MISMATCH on vs off!)"
-			}
-			table.Rows = append(table.Rows, []string{
-				fmt.Sprint(n), strings.TrimPrefix(row.Fig, "index-"), fmt.Sprint(row.Events),
-				fmt.Sprintf("%.0f", row.EventsPerSec), fmt.Sprintf("%.2f", row.Speedup),
-				matchCell, (time.Duration(row.ElapsedMS) * time.Millisecond).String(),
-			})
-		}
-		if rep != nil {
-			var evN, hits int64
-			var constraints int
-			for _, tr := range rep.Types {
-				evN += tr.Events
-				hits += tr.Hits
-				constraints += tr.IndexedConstraints
-			}
-			fmt.Printf("queries=%d index-on: %d subscriptions over %d lanes, %d indexed constraints, avg %.2f routed lanes/event (broadcast would pay %d)\n",
-				n, rep.Subscriptions, rep.Lanes, constraints,
-				float64(hits)/float64(max(evN, 1)), rep.Lanes+rep.AlwaysLanes)
-		}
-	}
-	fmt.Println()
-	table.Fprint(os.Stdout)
-	blob, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nJSON: %s\n", blob)
-	if jsonPath != "" {
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("(rows written to %s)\n", jsonPath)
-	}
-	if !crossChecked {
-		return fmt.Errorf("per-query match mismatch between index on and off at %d queries", counts[0])
-	}
-	return nil
-}
-
-// partitionRow is one (lane count, query count) measurement of the
-// key-partitioned evaluation scenario. The lane count is encoded in Fig
-// ("partition-p1" / "partition-p2" / "partition-p4") so the row keeps the
-// fig/queries/batch key cmd/benchdiff understands: its -min-speedup gate
-// divides the events_per_sec of two rows sharing a query count.
-type partitionRow struct {
-	Fig          string  `json:"fig"`
-	Queries      int     `json:"queries"`
-	Batch        int     `json:"batch"`
-	Partitions   int     `json:"partitions"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup_vs_p1"`
-	Matches      int64   `json:"matches"`
-	MatchesOK    bool    `json:"matches_ok"`
-	ElapsedMS    int64   `json:"elapsed_ms"`
-}
-
-// runPartitionScenario measures key-partitioned shared evaluation on a
-// workload built so the keyed nested-loop combine dominates: a quiet A/B
-// head pair (5% of the stream each) joins first in every plan — cheap and
-// selective, so the optimizer shares one (A ⋈ B) sub-join across all n
-// queries — and each query extends it to one of eight hot tail symbols
-// (70% of the stream together), every position chained by k-equality. The
-// expensive work is the roots probing the hot tail buffers and the fat
-// shared-instance buffer, and all of it is keyed, so every lane owns ~1/P
-// of each buffer and ~1/P of the arrivals. Timestamps advance 1ms per
-// event, so the window measures the join buffers directly. Each query
-// count runs at every configured lane count over the same stream; the
-// first lane count (normally 1) is the reference whose per-query match
-// counts every other run must reproduce exactly. The host may have a
-// single core — the expected speedup is algorithmic (N²/P probe work), not
-// parallel. Rows go to stdout as a table and JSON, and to jsonPath when
-// set — the input of cmd/benchdiff's speedup gate.
-func runPartitionScenario(events int, queryCounts, laneCounts string, window event.Time, seed int64, jsonPath string) error {
-	parseInts := func(flagName, s string) ([]int, error) {
-		var out []int
-		for _, part := range strings.Split(s, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("invalid %s %q", flagName, s)
-			}
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	counts, err := parseInts("-partition-queries", queryCounts)
-	if err != nil {
-		return err
-	}
-	parts, err := parseInts("-partition-workers", laneCounts)
-	if err != nil {
-		return err
-	}
-
-	const nTails = 8
-	const kCard = 64 // join-key cardinality: ~1/64 of probes pair up
-	const vCard = 10
-	const feedBatch = 256
-	schemaA := event.NewSchema("A", "k", "v")
-	schemaB := event.NewSchema("B", "k", "v")
-	tailSchemas := make([]*event.Schema, nTails)
-	tailNames := make([]string, nTails)
-	for i := range tailSchemas {
-		tailNames[i] = fmt.Sprintf("T%d", i)
-		tailSchemas[i] = event.NewSchema(tailNames[i], "k", "v")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	stream := make([]*event.Event, events)
-	for i := range stream {
-		var s *event.Schema
-		switch r := rng.Float64(); {
-		case r < 0.05:
-			s = schemaA
-		case r < 0.10:
-			s = schemaB
-		default:
-			s = tailSchemas[rng.Intn(nTails)]
-		}
-		stream[i] = event.New(s, event.Time(i+1),
-			float64(rng.Intn(kCard)), float64(rng.Intn(vCard)))
-	}
-	cep.Stamp(stream)
-
-	makeQueries := func(n int) []cep.QueryConfig {
-		out := make([]cep.QueryConfig, n)
-		for i := range out {
-			tail := tailNames[i%nTails]
-			p := cep.Seq(window,
-				cep.E("A", "a"), cep.E("B", "b"), cep.E(tail, "c"),
-			).Where(
-				cep.AttrCmp("a", "k", cep.Eq, "b", "k"),
-				cep.AttrCmp("b", "k", cep.Eq, "c", "k"),
-				cep.AttrCmp("a", "v", cep.Lt, "b", "v"),
-				cep.AttrCmp("b", "v", cep.Lt, "c", "v"),
-				// A per-query constant bound keeps the cycled tails distinct
-				// and completion rare relative to the probe work.
-				cep.Cmp(cep.Ref("c", "v"), cep.Ge, cep.Const(float64(6+(i/nTails)%3))),
-			)
-			out[i] = cep.QueryConfig{
-				Name: fmt.Sprintf("q%02d", i), Pattern: p,
-				Stats: cep.Measure(stream, p),
-			}
-		}
-		return out
-	}
-
-	run := func(queries []cep.QueryConfig, p int) (time.Duration, []int64, *cep.ShareReport, error) {
-		matched := make([]atomic.Int64, len(queries))
-		s := cep.NewSession(cep.SessionConfig{
-			QueueLen: 1024, ShareSubplans: true, FilterIndex: true, PartitionWorkers: p,
-		})
-		for i, qc := range queries {
-			c := &matched[i]
-			qc.OnMatch = func(*cep.Match) { c.Add(1) }
-			if err := s.Register(qc); err != nil {
-				return 0, nil, nil, err
-			}
-		}
-		if err := s.Start(); err != nil {
-			return 0, nil, nil, err
-		}
-		rep := s.ShareReport()
-		evs := workload.ResetStream(stream)
-		start := time.Now()
-		for i := 0; i < len(evs); i += feedBatch {
-			end := min(i+feedBatch, len(evs))
-			if err := s.SubmitBatch(evs[i:end]); err != nil {
-				return 0, nil, nil, err
-			}
-		}
-		if _, err := s.Flush(); err != nil {
-			return 0, nil, nil, err
-		}
-		elapsed := time.Since(start)
-		if err := s.Close(); err != nil {
-			return 0, nil, nil, err
-		}
-		perQuery := make([]int64, len(queries))
-		for i := range matched {
-			perQuery[i] = matched[i].Load()
-		}
-		return elapsed, perQuery, rep, nil
-	}
-
-	fmt.Printf("partition scenario: %d events (5%%/5%% head A/B, %d hot tails), key cardinality %d, window %dms, lanes %v\n\n",
-		events, nTails, kCard, window, parts)
-	table := harness.Table{
-		Title:   "Key-partitioned shared evaluation: feed throughput (events/s) vs partition lanes",
-		Columns: []string{"queries", "lanes", "ev/s", "speedup vs p1", "matches", "elapsed"},
-	}
-	var rows []partitionRow
-	allOK := true
-	for _, n := range counts {
-		queries := makeQueries(n)
-		var refRate float64
-		var refCounts []int64
-		for pi, p := range parts {
-			elapsed, perQuery, rep, err := run(queries, p)
-			if err != nil {
-				return fmt.Errorf("queries=%d lanes=%d: %w", n, p, err)
-			}
-			if rep != nil {
-				for _, comp := range rep.Components {
-					fmt.Printf("queries=%d lanes=%d: component of %d queries on %d lanes, partitions=%d attr=%q\n",
-						n, p, len(comp.Members), comp.Lanes, comp.Partitions, comp.PartitionAttr)
-				}
-				if len(rep.Components) == 0 {
-					fmt.Printf("queries=%d lanes=%d: NO sharing component formed\n", n, p)
-				}
-			}
-			row := partitionRow{
-				Fig:          fmt.Sprintf("partition-p%d", p),
-				Queries:      n,
-				Batch:        feedBatch,
-				Partitions:   p,
-				EventsPerSec: float64(len(stream)) / elapsed.Seconds(),
-				MatchesOK:    true,
-				ElapsedMS:    elapsed.Milliseconds(),
-			}
-			if pi == 0 {
-				refRate, refCounts = row.EventsPerSec, perQuery
-			}
-			row.Speedup = row.EventsPerSec / refRate
-			for i, c := range perQuery {
-				row.Matches += c
-				if c != refCounts[i] {
-					row.MatchesOK = false
-					allOK = false
-				}
-			}
-			rows = append(rows, row)
-			matchCell := fmt.Sprint(row.Matches)
-			if !row.MatchesOK {
-				matchCell += " (MISMATCH vs reference lane count!)"
-			}
-			table.Rows = append(table.Rows, []string{
-				fmt.Sprint(n), fmt.Sprint(p), fmt.Sprintf("%.0f", row.EventsPerSec),
-				fmt.Sprintf("%.2f", row.Speedup), matchCell,
-				(time.Duration(row.ElapsedMS) * time.Millisecond).String(),
-			})
-		}
-	}
-	table.Fprint(os.Stdout)
-	blob, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nJSON: %s\n", blob)
-	if jsonPath != "" {
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("(rows written to %s)\n", jsonPath)
-	}
-	if !allOK {
-		return fmt.Errorf("per-query match mismatch across partition lane counts")
-	}
-	return nil
-}
-
-// driftRow is the drift scenario's JSON measurement.
-type driftRow struct {
-	Events        int     `json:"events"`
-	Queries       int     `json:"queries"`
-	StaticEPS2    float64 `json:"static_phase2_events_per_sec"`
-	AdaptiveEPS2  float64 `json:"adaptive_phase2_events_per_sec"`
-	OracleEPS2    float64 `json:"oracle_phase2_events_per_sec"`
-	Recovered     float64 `json:"recovered_fraction"`
-	Reopts        int64   `json:"drift_reopts"`
-	Checks        int64   `json:"drift_checks"`
-	Generation    int     `json:"reopt_generation"`
-	SharedBefore  int     `json:"shared_queries_before"`
-	SharedAfter   int     `json:"shared_queries_after"`
-	FormedShared  int     `json:"formed_shared_queries"`
-	MatchesOK     bool    `json:"matches_ok"`
-	ControlReopts int64   `json:"control_reopts"`
-}
-
-// driftStream generates a stock stream with explicit per-symbol rates.
-func driftStream(stocks *workload.Stocks, events int, seed int64, rates map[string]float64) []*event.Event {
-	gen := workload.NewStocks(workload.StockConfig{
-		Symbols: stocks.Config.Symbols, Events: events, Seed: seed,
-	})
-	for sym := range gen.Rates {
-		gen.Rates[sym] = 0
-	}
-	for sym, r := range rates {
-		gen.Rates[sym] = r
-	}
-	return gen.Generate()
-}
-
-// medianFloat returns the median of xs (mean of the middle pair for even
-// lengths). xs must be non-empty; it is not modified.
-func medianFloat(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func medianDuration(ds []time.Duration) time.Duration {
-	s := make([]float64, len(ds))
-	for i, d := range ds {
-		s[i] = float64(d)
-	}
-	return time.Duration(medianFloat(s))
-}
-
-// runDriftScenario measures session-level adaptivity under a mid-stream
-// regime shift. Two sharing families run on one session:
-//
-//   - the dissolve family SEQ(A a, B b, T_i c) shares the (A,B) head pair,
-//     cheap at planning time; after the shift A and B become the hottest
-//     symbols and the tails go quiet, so keeping the shared pair means
-//     paying a huge unselective cross product that a fresh replan avoids by
-//     joining each query's (b, c) pair — with its selective bucket equality
-//     — first (sharing dissolves to singleton lanes);
-//
-//   - the form family SEQ(U_j u, C b, D c) has a common (C,D) sub-join that
-//     is too hot to share at planning time; after the shift it becomes cheap
-//     and profitable, so the re-optimization forms the shared group.
-//
-// Three sessions process the identical stream: static-shared (planned on
-// phase-1 statistics, no adaptivity), adaptive-shared (same plans plus
-// drift monitoring) and oracle-shared (planned from scratch on phase-2
-// statistics — the replan target). Phase-2 throughput is measured in
-// process CPU time (see cpuNow below for why not wall clock); the
-// adaptive session must recover at least half of the static→oracle gap,
-// reproduce the private runtimes' per-query match counts exactly (no
-// dropped or duplicated matches across the re-optimization splices), and a
-// stationary control run must trigger zero re-optimizations.
-func runDriftScenario(events, perFamily int, window event.Time, seed int64) error {
-	if perFamily < 2 {
-		return fmt.Errorf("-drift-family must be at least 2, got %d", perFamily)
-	}
-	if perFamily > 4 {
-		perFamily = 4
-	}
-	const symbols = 12
-	stocks := workload.NewStocks(workload.StockConfig{Symbols: symbols, Events: events / 2, Seed: seed})
-	// Roles: S000/S001 the dissolve family's head pair, S002/S003 the form
-	// family's common pair, S004-S007 tails, S008-S011 heads.
-	hotA, hotB := "S000", "S001"
-	pairC, pairD := "S002", "S003"
-	tails := []string{"S004", "S005", "S006", "S007"}[:perFamily]
-	heads := []string{"S008", "S009", "S010", "S011"}[:perFamily]
-
-	// Phase-1 margins are wide (the cheapest join beats the runner-up ~3x)
-	// so measurement noise on a stationary stream never flips a plan; the
-	// phase-2 inversion then flips every margin decisively.
-	rates1 := map[string]float64{hotA: 2, hotB: 2, pairC: 20, pairD: 20}
-	rates2 := map[string]float64{hotA: 25, hotB: 25, pairC: 0.75, pairD: 0.75}
-	for _, t := range tails {
-		rates1[t], rates2[t] = 30, 0.5
-	}
-	for _, u := range heads {
-		rates1[u], rates2[u] = 1.5, 15
-	}
-
-	// The split is 25/75: phase 1 only has to fix the initial plans and
-	// warm the collector (warmup plus one estimation window), while phase 2
-	// is the measured quantity — a longer phase 2 amortizes the adaptive
-	// session's fixed costs (the pre-detection segment on stale plans and
-	// the re-optimization splices themselves) the way a long-running
-	// deployment would, instead of charging them against half the stream.
-	phase1 := driftStream(stocks, events/4, seed, rates1)
-	phase2 := driftStream(stocks, events-events/4, seed+101, rates2)
-	if len(phase1) == 0 || len(phase2) == 0 {
-		return fmt.Errorf("empty phase stream")
-	}
-	shift := phase1[len(phase1)-1].TS + 1
-	for _, ev := range phase2 {
-		ev.TS += shift
-	}
-	stream := append(append([]*event.Event(nil), phase1...), phase2...)
-	boundary := len(phase1)
-	fmt.Printf("drift scenario: %d events (%d + %d), window %dms, %d+%d queries, rate shift at t=%dms\n\n",
-		len(stream), len(phase1), len(phase2), window, perFamily, perFamily, shift)
-
-	makeQueries := func(history []*event.Event) ([]cep.QueryConfig, error) {
-		var out []cep.QueryConfig
-		for i, tail := range tails {
-			src := fmt.Sprintf(
-				`PATTERN SEQ(%s a, %s b, %s c)
-				 WHERE a.difference < b.difference AND b.bucket = c.bucket
-				 WITHIN %d ms`, hotA, hotB, tail, window)
-			p, err := cep.ParsePatternWith(src, stocks.Registry)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cep.QueryConfig{
-				Name: fmt.Sprintf("dis%02d", i), Pattern: p,
-				Stats: cep.Measure(history, p),
-			})
-		}
-		for j, head := range heads {
-			src := fmt.Sprintf(
-				`PATTERN SEQ(%s u, %s b, %s c)
-				 WHERE u.difference < b.difference AND b.bucket = c.bucket
-				 WITHIN %d ms`, head, pairC, pairD, window)
-			p, err := cep.ParsePatternWith(src, stocks.Registry)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cep.QueryConfig{
-				Name: fmt.Sprintf("frm%02d", j), Pattern: p,
-				Stats: cep.Measure(history, p),
-			})
-		}
-		return out, nil
-	}
-
-	adaptiveCfg := func() *cep.AdaptiveSessionConfig {
-		// The check cadence is calibrated to the engine's per-event cost:
-		// re-pricing a component's trees costs the same whether the engine
-		// spends 5µs or 1µs per event, so with the batched/pooled hot path
-		// the old 400-event cadence would burn a visible fraction of the
-		// throughput it is trying to recover. 1000 keeps detection latency
-		// (Hysteresis × CheckEvery ≈ 2k events) a couple percent of a
-		// phase while monitoring overhead stays below measurement noise.
-		return &cep.AdaptiveSessionConfig{
-			CheckEvery:   1000,
-			WarmupEvents: 4000,
-			MinInterval:  4000,
-			Threshold:    0.25,
-			Hysteresis:   2,
-			MaxPerCheck:  2,
-			Window:       2 * window,
-		}
-	}
-
-	type runOut struct {
-		t1, t2   time.Duration
-		counts   map[string]int
-		share    *cep.ShareReport
-		preShare *cep.ShareReport
-		drift    *cep.DriftReport
-	}
-	// Phases are timed in process CPU time (user+system rusage), not wall
-	// clock: the recovery gate divides *differences* of the three variants'
-	// timings, and on a shared single-CPU box a noisy neighbor or cgroup
-	// throttle stretches wall time by 2x between otherwise identical runs —
-	// enough to flip the gate either way. CPU time charges each variant for
-	// exactly the work its plans did. GC still counts, which is fair: the
-	// garbage is the variant's own.
-	cpuNow := func() time.Duration {
-		var ru syscall.Rusage
-		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-			return 0
-		}
-		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
-	}
-	run := func(queries []cep.QueryConfig, adaptive *cep.AdaptiveSessionConfig, feed []*event.Event, split int) (*runOut, error) {
-		// Matches flow to per-query counting sinks rather than accumulating:
-		// on this single-box measurement the GC pressure of retaining every
-		// match would swamp the throughput signal.
-		counters := make([]int, len(queries))
-		s := cep.NewSession(cep.SessionConfig{QueueLen: 1024, ShareSubplans: true, Adaptive: adaptive})
-		for i, qc := range queries {
-			i := i
-			qc.OnMatch = func(*cep.Match) { counters[i]++ }
-			if err := s.Register(qc); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.Start(); err != nil {
-			return nil, err
-		}
-		// The feed is batched so the timings measure engine and plan work,
-		// not per-event queue handoffs — the quantity the recovery gate is
-		// about. Batching is match-set-neutral (cross-checked below).
-		const feedBatch = 64
-		submitRange := func(evs []*event.Event) error {
-			for i := 0; i < len(evs); i += feedBatch {
-				end := i + feedBatch
-				if end > len(evs) {
-					end = len(evs)
-				}
-				if err := s.SubmitBatch(evs[i:end]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		out := &runOut{counts: map[string]int{}, preShare: s.ShareReport()}
-		// Collect the previous run's garbage now so its GC debt is not
-		// charged to this variant's CPU measurement.
-		runtime.GC()
-		start := cpuNow()
-		if err := submitRange(feed[:split]); err != nil {
-			return nil, err
-		}
-		out.t1 = cpuNow() - start
-		start = cpuNow()
-		if err := submitRange(feed[split:]); err != nil {
-			return nil, err
-		}
-		out.share = s.ShareReport()
-		out.drift = s.DriftReport()
-		if _, err := s.Flush(); err != nil {
-			return nil, err
-		}
-		out.t2 = cpuNow() - start
-		for i, qc := range queries {
-			out.counts[qc.Name] = counters[i]
-		}
-		return out, nil
-	}
-	// repeat runs one repetition of a variant, records its phase-2 CPU
-	// time, and folds it into pick, keeping the fastest repetition for the
-	// structural reports. Match counts must agree between repetitions.
-	repeat := func(pick *runOut, queries []cep.QueryConfig, adaptive func() *cep.AdaptiveSessionConfig, t2s *[]time.Duration) (*runOut, error) {
-		var cfg *cep.AdaptiveSessionConfig
-		if adaptive != nil {
-			cfg = adaptive()
-		}
-		out, err := run(queries, cfg, workload.ResetStream(stream), boundary)
-		if err != nil {
-			return nil, err
-		}
-		*t2s = append(*t2s, out.t2)
-		if pick == nil || out.t2 < pick.t2 {
-			pick, out = out, pick
-		}
-		if out != nil {
-			for name, n := range out.counts {
-				if pick.counts[name] != n {
-					return nil, fmt.Errorf("repetition mismatch for %s: %d vs %d", name, pick.counts[name], n)
-				}
-			}
-		}
-		return pick, nil
-	}
-
-	queries, err := makeQueries(phase1)
-	if err != nil {
-		return err
-	}
-	oracleQueries, err := makeQueries(phase2)
-	if err != nil {
-		return err
-	}
-
-	// Each repetition runs the three variants back-to-back and the recovery
-	// fraction is computed per repetition from those same-epoch timings:
-	// machine-wide speed changes (frequency scaling, a noisy neighbor that
-	// outlives one repetition) move all three measurements of a repetition
-	// together and cancel in the ratio, where comparing each variant's best
-	// timing separately can pair numbers from different machine epochs. The
-	// median across repetitions then discards the odd repetition where a GC
-	// cycle or scheduling burst landed inside one variant.
-	const reps = 5
-	var static, adapt, oracle *runOut
-	var t2S, t2A, t2O []time.Duration
-	for rep := 0; rep < reps; rep++ {
-		if static, err = repeat(static, queries, nil, &t2S); err != nil {
-			return err
-		}
-		if adapt, err = repeat(adapt, queries, adaptiveCfg, &t2A); err != nil {
-			return err
-		}
-		if oracle, err = repeat(oracle, oracleQueries, nil, &t2O); err != nil {
-			return err
-		}
-	}
-	phase2Events := float64(len(stream) - boundary)
-	eps := func(d time.Duration) float64 { return phase2Events / d.Seconds() }
-	var recs []float64
-	for i := range t2S {
-		es, ea, eo := eps(t2S[i]), eps(t2A[i]), eps(t2O[i])
-		if eo > es {
-			recs = append(recs, (ea-es)/(eo-es))
-		}
-	}
-
-	// Reference match counts from private runtimes (plan-independent for
-	// the shareable fragment), checked against all three sessions.
-	row := driftRow{
-		Events: len(stream), Queries: 2 * perFamily, MatchesOK: true,
-		StaticEPS2:   eps(medianDuration(t2S)),
-		AdaptiveEPS2: eps(medianDuration(t2A)),
-		OracleEPS2:   eps(medianDuration(t2O)),
-	}
-	checked := 0
-	for _, qc := range queries {
-		rt, err := cep.NewFromConfig(qc)
-		if err != nil {
-			return err
-		}
-		want, err := rt.ProcessAll(workload.ResetStream(stream))
-		if err != nil {
-			return err
-		}
-		checked += len(want)
-		for who, out := range map[string]*runOut{"static": static, "adaptive": adapt, "oracle": oracle} {
-			if got := out.counts[qc.Name]; got != len(want) {
-				row.MatchesOK = false
-				fmt.Printf("MISMATCH %s/%s: session %d, private %d\n", who, qc.Name, got, len(want))
-			}
-		}
-	}
-	if adapt.preShare != nil {
-		row.SharedBefore = adapt.preShare.Shared
-	}
-	if adapt.share != nil {
-		row.SharedAfter = adapt.share.Shared
-		for _, comp := range adapt.share.Components {
-			formed := 0
-			for _, m := range comp.Members {
-				if strings.HasPrefix(m, "frm") {
-					formed++
-				}
-			}
-			if formed >= 2 {
-				row.FormedShared += formed
-			}
-		}
-	}
-	if adapt.drift != nil {
-		row.Reopts = adapt.drift.Reopts
-		row.Checks = adapt.drift.Checks
-		row.Generation = adapt.drift.Generation
-	}
-	if len(recs) > 0 {
-		row.Recovered = medianFloat(recs)
-	}
-
-	// Control: the same adaptive configuration on a stationary stream must
-	// never re-optimize.
-	control := driftStream(stocks, events, seed+211, rates1)
-	ctl, err := run(queries, adaptiveCfg(), workload.ResetStream(control), len(control)/2)
-	if err != nil {
-		return err
-	}
-	if ctl.drift != nil {
-		row.ControlReopts = ctl.drift.Reopts
-	}
-
-	table := harness.Table{
-		Title: "Drift adaptivity: phase-2 throughput after a regime shift (events per CPU-second)",
-		Columns: []string{"variant", "phase2 ev/s", "vs static", "reopts", "shared before/after",
-			"phase1 cpu", "phase2 cpu"},
-		Rows: [][]string{
-			{"static-shared", fmt.Sprintf("%.0f", row.StaticEPS2), "1.00", "0",
-				fmt.Sprintf("%d/%d", static.preShare.Shared, static.share.Shared),
-				static.t1.Round(time.Millisecond).String(), medianDuration(t2S).Round(time.Millisecond).String()},
-			{"adaptive-shared", fmt.Sprintf("%.0f", row.AdaptiveEPS2),
-				fmt.Sprintf("%.2f", row.AdaptiveEPS2/row.StaticEPS2), fmt.Sprint(row.Reopts),
-				fmt.Sprintf("%d/%d", row.SharedBefore, row.SharedAfter),
-				adapt.t1.Round(time.Millisecond).String(), medianDuration(t2A).Round(time.Millisecond).String()},
-			{"oracle-replanned", fmt.Sprintf("%.0f", row.OracleEPS2),
-				fmt.Sprintf("%.2f", row.OracleEPS2/row.StaticEPS2), "0",
-				fmt.Sprintf("%d/%d", oracle.preShare.Shared, oracle.share.Shared),
-				oracle.t1.Round(time.Millisecond).String(), medianDuration(t2O).Round(time.Millisecond).String()},
-		},
-	}
-	table.Fprint(os.Stdout)
-	fmt.Printf("recovered %.0f%% of the static→oracle gap; %d matches cross-checked; control reopts %d\n",
-		100*row.Recovered, checked, row.ControlReopts)
-	blob, err := json.MarshalIndent([]driftRow{row}, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nJSON: %s\n", blob)
-
-	switch {
-	case !row.MatchesOK:
-		return fmt.Errorf("match-count mismatch across the re-optimization splice")
-	case checked == 0:
-		return fmt.Errorf("match cross-check was vacuous")
-	case row.Reopts == 0:
-		return fmt.Errorf("adaptive session did not detect the regime shift")
-	case row.ControlReopts != 0:
-		return fmt.Errorf("stationary control re-optimized %d times (flapping)", row.ControlReopts)
-	case row.OracleEPS2 >= 1.3*row.StaticEPS2 && row.Recovered < 0.5:
-		return fmt.Errorf("adaptive session recovered only %.0f%% of the throughput gap", 100*row.Recovered)
-	}
-	return nil
-}
-
-// runShardScenario measures the sharded runtime's scaling: one pattern over
-// a bucket-partitioned stock stream, detected sequentially by
-// PartitionedRuntime and then by ShardedRuntime at doubling worker counts.
-// Every run must reproduce the sequential match count — the table is also a
-// correctness check.
-func runShardScenario(symbols, events, partitions int, window event.Time, seed int64) error {
-	if symbols < 3 {
-		return fmt.Errorf("-symbols must be at least 3 (the scenario pattern spans three symbols), got %d", symbols)
-	}
-	stocks := workload.NewStocks(workload.StockConfig{
-		Symbols: symbols, Events: events, Seed: seed, MinRate: 1, MaxRate: 45,
-		Partitions: partitions, PartitionBy: workload.PartitionByBucket, Buckets: partitions,
-	})
-	stream := stocks.Generate()
-	// The pattern compares `difference` attributes only: partitioning is by
-	// bucket, so all events of one partition share a bucket value and any
-	// bucket predicate would degenerate to constant true/false.
-	rng := rand.New(rand.NewSource(seed + 17))
-	syms := rng.Perm(symbols)[:3]
-	src := fmt.Sprintf(
-		`PATTERN SEQ(S%03d e0, S%03d e1, S%03d e2) WHERE e0.difference < e1.difference WITHIN %d ms`,
-		syms[0], syms[1], syms[2], window)
-	p, err := cep.ParsePatternWith(src, stocks.Registry)
-	if err != nil {
-		return err
-	}
-	st := cep.Measure(stream, p)
-	fmt.Printf("shard scenario: %d events, %d partitions, window %dms, pattern %s\n\n",
-		len(stream), partitions, window, p)
-
-	// Sequential baseline.
-	pr, err := cep.NewPartitioned(p, st, nil)
-	if err != nil {
-		return err
-	}
-	maxWorkers := runtime.NumCPU()
-	if maxWorkers < 8 {
-		maxWorkers = 8 // show the scaling curve even on small machines
-	}
-	workerCounts := []int{}
-	for w := 1; w <= maxWorkers; w *= 2 {
-		workerCounts = append(workerCounts, w)
-	}
-	if last := workerCounts[len(workerCounts)-1]; last != maxWorkers {
-		workerCounts = append(workerCounts, maxWorkers) // e.g. 12 cores: 1 2 4 8 12
-	}
-	start := time.Now()
-	for _, ev := range stream {
-		if _, err := pr.Process(ev); err != nil {
-			return err
-		}
-	}
-	if _, err := pr.Flush(); err != nil {
-		return err
-	}
-	seqElapsed := time.Since(start)
-	seqRate := float64(len(stream)) / seqElapsed.Seconds()
-
-	table := harness.Table{
-		Title:   "Sharded runtime throughput (events/s) vs worker count",
-		Columns: []string{"workers", "events/s", "speedup", "matches", "stalls", "elapsed"},
-		Rows: [][]string{{
-			"seq", fmt.Sprintf("%.0f", seqRate), "1.00",
-			fmt.Sprint(pr.Matches()), "-", seqElapsed.Round(time.Millisecond).String(),
-		}},
-	}
-	for _, w := range workerCounts {
-		evs := workload.ResetStream(stream)
-		sr, err := cep.NewSharded(p, st, nil, cep.ShardConfig{Workers: w})
-		if err != nil {
-			return err
-		}
-		if err := sr.Start(); err != nil {
-			return err
-		}
-		start := time.Now()
-		const batch = 512
-		for i := 0; i < len(evs); i += batch {
-			end := i + batch
-			if end > len(evs) {
-				end = len(evs)
-			}
-			if err := sr.SubmitBatch(evs[i:end]); err != nil {
-				return err
-			}
-		}
-		if _, err := sr.Flush(); err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		rate := float64(len(evs)) / elapsed.Seconds()
-		var stalls int64
-		for _, s := range sr.Stats() {
-			stalls += s.Stalls
-		}
-		matches := fmt.Sprint(sr.Matches())
-		if sr.Matches() != pr.Matches() {
-			matches += " (MISMATCH vs sequential!)"
-		}
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprint(w), fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.2f", rate/seqRate),
-			matches, fmt.Sprint(stalls), elapsed.Round(time.Millisecond).String(),
-		})
-	}
-	table.Fprint(os.Stdout)
-	return nil
-}
-
-// churnRow is the churn scenario's JSON measurement.
-type churnRow struct {
-	Events       int     `json:"events"`
-	BaseQueries  int     `json:"base_queries"`
-	Adds         int     `json:"adds"`
-	Removes      int     `json:"removes"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	AvgReoptMS   float64 `json:"avg_reopt_ms"`
-	MaxReoptMS   float64 `json:"max_reopt_ms"`
-	FinalShared  int     `json:"final_shared_queries"`
-	Generations  int     `json:"reopt_generations"`
-	MatchesOK    bool    `json:"matches_ok"`
-	CheckedTotal int     `json:"checked_matches"`
-	FinalQueries int     `json:"final_queries"`
-}
-
-// runChurnScenario measures dynamic multi-query optimization: baseQ
-// overlapping queries (the -fig mqo template mix, negation included) are
-// registered up front on a ShareSubplans session, then ops AddQuery /
-// RemoveQuery operations land at evenly spaced positions of the middle half
-// of the feed, each timed individually — the re-optimization latency a
-// live deployment would observe, drain included. Base queries present for
-// the whole stream are cross-checked match-for-match against private
-// runtimes; queries added mid-feed are checked against private runtimes
-// over their suffix of the stream.
-func runChurnScenario(symbols, events, baseQ, ops int, window event.Time, seed int64) error {
-	if symbols < 4 {
-		return fmt.Errorf("-symbols must be at least 4 (hot pair + tails), got %d", symbols)
-	}
-	if baseQ < 2 {
-		return fmt.Errorf("-churn-queries must be at least 2, got %d", baseQ)
-	}
-	stocks := workload.NewStocks(workload.StockConfig{
-		Symbols: symbols, Events: events, Seed: seed, MinRate: 1, MaxRate: 20,
-	})
-	stream := stocks.Generate()
-	type symRate struct {
-		name string
-		rate float64
-	}
-	bySpeed := make([]symRate, 0, len(stocks.Symbols))
-	for _, s := range stocks.Symbols {
-		bySpeed = append(bySpeed, symRate{s, stocks.Rates[s]})
-	}
-	sort.Slice(bySpeed, func(i, j int) bool { return bySpeed[i].rate > bySpeed[j].rate })
-	hotA, hotB := bySpeed[0].name, bySpeed[1].name
-	tails := bySpeed[2:]
-	makeQuery := func(i int, prefix string) (cep.QueryConfig, error) {
-		tail := tails[i%len(tails)].name
-		var src string
-		if i%4 == 3 {
-			neg := tails[(i+1)%len(tails)].name
-			src = fmt.Sprintf(
-				`PATTERN SEQ(%s a, %s b, NOT(%s n), %s c)
-				 WHERE a.bucket = b.bucket AND a.difference < b.difference AND b.difference < c.difference
-				 WITHIN %d ms`,
-				hotA, hotB, neg, tail, window)
-		} else {
-			src = fmt.Sprintf(
-				`PATTERN SEQ(%s a, %s b, %s c)
-				 WHERE a.bucket = b.bucket AND a.difference < b.difference AND b.difference < c.difference
-				 WITHIN %d ms`,
-				hotA, hotB, tail, window)
-		}
-		p, err := cep.ParsePatternWith(src, stocks.Registry)
-		if err != nil {
-			return cep.QueryConfig{}, err
-		}
-		return cep.QueryConfig{
-			Name:    fmt.Sprintf("%s%02d", prefix, i),
-			Pattern: p,
-			Stats:   cep.Measure(stream, p),
-		}, nil
-	}
-
-	s := cep.NewSession(cep.SessionConfig{QueueLen: 1024, ShareSubplans: true})
-	base := make([]cep.QueryConfig, 0, baseQ)
-	for i := 0; i < baseQ; i++ {
-		qc, err := makeQuery(i, "q")
-		if err != nil {
-			return err
-		}
-		base = append(base, qc)
-		if err := s.Register(qc); err != nil {
-			return err
-		}
-	}
-	if err := s.Start(); err != nil {
-		return err
-	}
-	fmt.Printf("churn scenario: %d events, %d base queries, %d mid-feed operations, hot pair %s⋈%s\n\n",
-		len(stream), baseQ, ops, hotA, hotB)
-
-	// Operation schedule: evenly spaced through the middle half of the feed,
-	// alternating add (of a fresh query) and remove (of the last add).
-	type op struct {
-		at   int
-		add  bool
-		qc   cep.QueryConfig
-		name string
-	}
-	var plan []op
-	var pendingAdds []cep.QueryConfig
-	for k := 0; k < ops; k++ {
-		at := len(stream)/4 + (k+1)*(len(stream)/2)/(ops+1)
-		if k%2 == 0 {
-			qc, err := makeQuery(k, "live")
-			if err != nil {
-				return err
-			}
-			plan = append(plan, op{at: at, add: true, qc: qc, name: qc.Name})
-			pendingAdds = append(pendingAdds, qc)
-		} else {
-			last := pendingAdds[len(pendingAdds)-1]
-			pendingAdds = pendingAdds[:len(pendingAdds)-1]
-			plan = append(plan, op{at: at, add: false, name: last.Name})
-		}
-	}
-
-	feed := workload.ResetStream(stream)
-	addedAt := map[string]int{}
-	var reopts []time.Duration
-	adds, removes := 0, 0
-	next := 0
-	start := time.Now()
-	for _, o := range plan {
-		for ; next < o.at && next < len(feed); next++ {
-			if err := s.Submit(feed[next]); err != nil {
-				return err
-			}
-		}
-		opStart := time.Now()
-		if o.add {
-			if err := s.AddQuery(o.qc); err != nil {
-				return err
-			}
-			addedAt[o.name] = next
-			adds++
-		} else {
-			if err := s.RemoveQuery(o.name); err != nil {
-				return err
-			}
-			delete(addedAt, o.name)
-			removes++
-		}
-		reopts = append(reopts, time.Since(opStart))
-	}
-	for ; next < len(feed); next++ {
-		if err := s.Submit(feed[next]); err != nil {
-			return err
-		}
-	}
-	report := s.ShareReport()
-	if _, err := s.Flush(); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	row := churnRow{
-		Events:       len(stream),
-		BaseQueries:  baseQ,
-		Adds:         adds,
-		Removes:      removes,
-		EventsPerSec: float64(len(stream)) / elapsed.Seconds(),
-		MatchesOK:    true,
-		FinalQueries: baseQ + len(addedAt),
-	}
-	if report != nil {
-		row.FinalShared = report.Shared
-		row.Generations = report.Generation
-	}
-	var sum time.Duration
-	for _, d := range reopts {
-		sum += d
-		if ms := float64(d.Microseconds()) / 1000; ms > row.MaxReoptMS {
-			row.MaxReoptMS = ms
-		}
-	}
-	if len(reopts) > 0 {
-		row.AvgReoptMS = float64(sum.Microseconds()) / 1000 / float64(len(reopts))
-	}
-
-	// Correctness: base queries against full-stream private runtimes,
-	// added-and-kept queries against their suffix.
-	check := func(qc cep.QueryConfig, suffix []*event.Event) error {
-		rt, err := cep.NewFromConfig(qc)
-		if err != nil {
-			return err
-		}
-		want, err := rt.ProcessAll(suffix)
-		if err != nil {
-			return err
-		}
-		if got := len(s.Matches(qc.Name)); got != len(want) {
-			row.MatchesOK = false
-			fmt.Printf("MISMATCH %s: session %d, private %d\n", qc.Name, got, len(want))
-		}
-		row.CheckedTotal += len(want)
-		return nil
-	}
-	for _, qc := range base {
-		if err := check(qc, workload.ResetStream(stream)); err != nil {
-			return err
-		}
-	}
-	for _, qc := range pendingAdds {
-		if err := check(qc, workload.ResetStream(stream)[addedAt[qc.Name]:]); err != nil {
-			return err
-		}
-	}
-
-	table := harness.Table{
-		Title: "Dynamic MQO churn: live AddQuery/RemoveQuery on a sharing session",
-		Columns: []string{"events/s", "adds", "removes", "avg reopt", "max reopt",
-			"final shared", "generations", "checked matches"},
-		Rows: [][]string{{
-			fmt.Sprintf("%.0f", row.EventsPerSec), fmt.Sprint(adds), fmt.Sprint(removes),
-			fmt.Sprintf("%.2fms", row.AvgReoptMS), fmt.Sprintf("%.2fms", row.MaxReoptMS),
-			fmt.Sprint(row.FinalShared), fmt.Sprint(row.Generations), fmt.Sprint(row.CheckedTotal),
-		}},
-	}
-	table.Fprint(os.Stdout)
-	blob, err := json.MarshalIndent([]churnRow{row}, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nJSON: %s\n", blob)
-	if !row.MatchesOK {
-		return fmt.Errorf("churn match-count mismatch")
-	}
-	if row.CheckedTotal == 0 {
-		return fmt.Errorf("churn cross-check was vacuous (no matches)")
-	}
-	return nil
 }

@@ -72,7 +72,6 @@ var (
 	_ Detector = (*AdaptiveRuntime)(nil)
 	_ Detector = (*PartitionedRuntime)(nil)
 	_ Detector = (*ShardedRuntime)(nil)
-	_ Detector = (*Fleet)(nil)
 	_ Detector = (*Session)(nil)
 )
 

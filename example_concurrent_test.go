@@ -1,42 +1,15 @@
 package cep_test
 
-// Runnable examples for the three concurrent deployment shapes: a Fleet of
-// patterns over one feed, a PartitionedRuntime with partition-local
-// detection, and the sharded multi-core ShardedRuntime.
+// Runnable examples for the partitioned deployment shapes: a
+// PartitionedRuntime with partition-local detection, and the sharded
+// multi-core ShardedRuntime. Many patterns over one feed is a Session (see
+// example_session_test.go).
 
 import (
 	"fmt"
 
 	cep "repro"
 )
-
-// ExampleFleet monitors two patterns over one feed, each on its own
-// goroutine with a bounded queue.
-//
-// Caution: under SkipTillNextMatch the runtimes would share consumption
-// marks on the events (a match in one runtime would consume events out from
-// under the other); keep concurrent fleets on skip-till-any — the default —
-// or give each runtime its own event slice.
-func ExampleFleet() {
-	login := cep.NewSchema("Login", "user")
-	alert := cep.NewSchema("Alert", "user")
-	seq, _ := cep.ParsePattern(`PATTERN SEQ(Login l, Alert a)
-	                            WHERE l.user = a.user WITHIN 5 s`)
-	conj, _ := cep.ParsePattern(`PATTERN AND(Login l, Alert a) WITHIN 5 s`)
-	rt1, _ := cep.New(seq, nil)
-	rt2, _ := cep.New(conj, nil)
-	events := cep.Stamp([]*cep.Event{
-		cep.NewEvent(login, 1000, 7),
-		cep.NewEvent(alert, 2000, 7),
-		cep.NewEvent(alert, 3000, 9), // wrong user: only the AND matches it
-	})
-	results, err := cep.NewFleet(rt1, rt2).SetQueueLen(64).Run(events)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(len(results[0]), len(results[1]), cep.TotalMatches(results))
-	// Output: 1 2 3
-}
 
 // ExamplePartitionedRuntime detects a pattern independently inside each
 // stream partition, planning each partition on first contact; matches never

@@ -265,10 +265,10 @@ type sessionItem struct {
 
 // Session is the front door for serving: any number of named queries over
 // one event feed, each query on its own worker lane behind a bounded
-// queue, under one lifecycle and one error model. It subsumes Fleet (many
-// queries, one feed) and composes with ShardedRuntime (one query,
-// partitioned feed): RegisterDetector accepts any Detector, so a query may
-// itself be sharded, partitioned or adaptive. With
+// queue, under one lifecycle and one error model. It composes with
+// ShardedRuntime (one query, partitioned feed): RegisterDetector accepts
+// any Detector, so a query may itself be sharded, partitioned or adaptive.
+// With
 // SessionConfig.ShareSubplans, overlapping queries are grouped onto shared
 // evaluation lanes that compute common sub-joins once.
 //

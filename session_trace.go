@@ -22,8 +22,8 @@ type Prov = match.Prov
 
 // TraceConfig enables the event-tracing and match-provenance layer.
 // Tracing is OFF by default (SessionConfig.Trace == nil): the trace-off
-// hot path pays nothing beyond one nil check (`cepbench -fig trace` pins
-// the budget in CI).
+// hot path pays nothing beyond one nil check. Tracing never changes which
+// matches are detected.
 type TraceConfig struct {
 	// SampleEvery traces one of every N submissions end to end: the
 	// sampled event (or batch) carries a trace context through ingress

@@ -16,9 +16,8 @@ import (
 // TelemetryConfig tunes the session's built-in instrumentation. Telemetry
 // is ON by default (SessionConfig.Telemetry == nil selects the defaults
 // below): the hot-path cost is a handful of uncontended atomic adds per
-// queue item, benchmarked within a few percent of a telemetry-off build
-// (`cepbench -fig telemetry` pins the budget in CI). Set Disabled to strip
-// even that.
+// queue item. Set Disabled to strip even that; detection is identical
+// either way.
 type TelemetryConfig struct {
 	// Disabled turns the layer off entirely: Session.Metrics() still
 	// reports structure (queries, lanes, generations) but every counter
