@@ -1,8 +1,8 @@
 package cep
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// Section 5.3 early negation placement, the Kleene base cap, and reordering
-// itself (planned vs trivial orders).
+// Ablation benchmarks for three design choices: the Section 5.3 early
+// negation placement, the Kleene base cap, and reordering itself (planned
+// vs trivial orders).
 
 import (
 	"math/rand"

@@ -194,3 +194,22 @@ func (r *Registry) Types() []string {
 
 // Len returns the number of registered types.
 func (r *Registry) Len() int { return len(r.schemas) }
+
+// minLogCap is the smallest backing array AppendLog allocates.
+const minLogCap = 8
+
+// AppendLog appends ev to an append-only event log: a buffer whose front is
+// trimmed by reslicing (buf[i:]) as events expire and whose entries are
+// never overwritten, so one-entry subslices buf[i:i+1:i+1] stay valid as
+// event groups for as long as anyone holds them. Front trimming shrinks
+// the capacity plain append would grow from; AppendLog instead grows to at
+// least twice the live length and minLogCap, so a short log reallocates
+// once per many appends, not on nearly every one.
+func AppendLog(buf []*Event, ev *Event) []*Event {
+	if len(buf) == cap(buf) {
+		grown := make([]*Event, len(buf), max(2*len(buf), minLogCap))
+		copy(grown, buf)
+		buf = grown
+	}
+	return append(buf, ev)
+}

@@ -207,7 +207,7 @@ func (r *Runner) Fig16() ([]Table, error) {
 // study: normalized plan cost (cost of the empirically worst EFREQ plan
 // divided by the algorithm's plan cost, higher is better) and generation
 // time, for sizes up to 22. Plans are costed, not executed, exactly as in
-// the paper. DP algorithms are capped (DESIGN.md §5).
+// the paper. DP algorithms are capped (Config.MaxDPLDSize / MaxDPBSize).
 func (r *Runner) Fig17() ([]Table, error) {
 	rng := rand.New(rand.NewSource(r.Cfg.Seed + 3000))
 	algs := []string{core.AlgEFreq, core.AlgGreedy, core.AlgIIRandom, core.AlgIIGreedy,

@@ -4,7 +4,7 @@
 // the figure; cmd/cepbench prints them and bench_test.go wraps them in
 // testing.B benchmarks.
 //
-// Scale differs from the paper (see DESIGN.md §5): the default
+// Scale differs from the paper: the default
 // configuration runs in seconds on a laptop rather than 1.5 months on the
 // full NASDAQ year, so absolute numbers differ while the comparisons the
 // paper makes — which method wins, by roughly what factor, where the

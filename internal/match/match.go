@@ -14,6 +14,11 @@ import (
 // the compiled pattern. Negated positions are nil; Kleene positions may hold
 // more than one event; ordinary positions hold exactly one. Prov is nil
 // unless the emitting engine runs with provenance enabled.
+//
+// The engines emit matches from an Arena: a delivered match is never
+// reused, so a caller may keep it as long as it likes; a retained match
+// keeps its arena chunk (the matches emitted beside it) alive. Only the
+// slice an engine returns its matches in is reused by the next call.
 type Match struct {
 	Positions [][]*event.Event
 	Prov      *Prov
@@ -38,6 +43,57 @@ type Prov struct {
 // New builds a match over n term positions.
 func New(n int) *Match {
 	return &Match{Positions: make([][]*event.Event, n)}
+}
+
+// Arena hands out matches, position tables and flat event slots from
+// chunks, so emission costs a few allocations per engine call instead of
+// two or three per match. The chunks of one call double from arenaMin to
+// arenaMax matches; Release drops them, so the next call starts a fresh,
+// small chunk and nothing handed out is ever handed out again. The zero
+// value is ready to use. An Arena is not safe for concurrent use.
+type Arena struct {
+	ms   []Match
+	tabs [][]*event.Event
+	evs  []*event.Event
+	size int // matches in the current chunk; 0 before the first
+}
+
+const (
+	arenaMin = 8
+	arenaMax = 256
+)
+
+// New returns a match with a zeroed positions table of n entries.
+func (a *Arena) New(n int) *Match {
+	if len(a.ms) == 0 {
+		a.size = min(max(2*a.size, arenaMin), arenaMax)
+		a.ms = make([]Match, a.size)
+	}
+	m := &a.ms[0]
+	a.ms = a.ms[1:]
+	if len(a.tabs) < n {
+		a.tabs = make([][]*event.Event, max(n*a.size, n))
+	}
+	m.Positions = a.tabs[:n:n]
+	a.tabs = a.tabs[n:]
+	return m
+}
+
+// Events returns n zeroed event slots, capacity-capped so that appending to
+// them cannot write into slots handed out later.
+func (a *Arena) Events(n int) []*event.Event {
+	if len(a.evs) < n {
+		a.evs = make([]*event.Event, max(n*max(a.size, arenaMin), n))
+	}
+	out := a.evs[:n:n]
+	a.evs = a.evs[n:]
+	return out
+}
+
+// Release drops the current chunks: everything handed out so far now
+// belongs to the callers, and the next New starts a chunk of arenaMin.
+func (a *Arena) Release() {
+	a.ms, a.tabs, a.evs, a.size = nil, nil, nil, 0
 }
 
 // Events flattens the bound events in position order.

@@ -209,10 +209,14 @@ type Engine struct {
 
 	now      event.Time
 	nPartial int
-	pendings []*pending
+	pendings []pending
 	closed   bool
 	st       EngineStats
 	out      []Tagged
+	// arena backs the matches of one call; check is the scratch view
+	// negation consumers are vetted on before anything is allocated.
+	arena match.Arena
+	check match.Match
 
 	// free is the engine-local partial-match free list. The engine is a
 	// single-goroutine machine, so a plain slice beats sync.Pool here: no
@@ -320,10 +324,12 @@ func (e *Engine) CurrentPartial() int { return e.nPartial + len(e.pendings) }
 // tagged matches it completed across all member queries. seq is the
 // event's stream sequence number (strictly increasing with submission
 // order); it seeds the instance watermarks the per-consumer Since filter
-// compares against. The returned slice is reused by the next call.
+// compares against. The returned slice is reused by the next call; the
+// matches in it are not.
 func (e *Engine) Process(ev *event.Event, seq uint64) []Tagged {
 	e.out = e.out[:0]
 	e.processOne(ev, seq)
+	e.arena.Release()
 	return e.out
 }
 
@@ -332,12 +338,14 @@ func (e *Engine) Process(ev *event.Event, seq uint64) []Tagged {
 // the stream sequence number of the first event; the i-th event carries
 // seq0+i. Semantically identical to calling Process per event; the batch
 // form amortizes the output reset and lets one queue item carry many
-// events. The returned slice is reused by the next call.
+// events. The returned slice is reused by the next call; the matches in it
+// are not.
 func (e *Engine) ProcessBatch(evs []*event.Event, seq0 uint64) []Tagged {
 	e.out = e.out[:0]
 	for i, ev := range evs {
 		e.processOne(ev, seq0+uint64(i))
 	}
+	e.arena.Release()
 	return e.out
 }
 
@@ -434,10 +442,11 @@ func (e *Engine) Subscriptions() []Sub {
 // ascending list of hit subscription slots; type dispatch and unary
 // filtering are NOT re-run — the verdict stands in for them. Semantically
 // identical to Process for any event whose slot list is exact. The
-// returned slice is reused by the next call.
+// returned slice is reused by the next call; the matches in it are not.
 func (e *Engine) ProcessSelected(ev *event.Event, seq uint64, slots []int32) []Tagged {
 	e.out = e.out[:0]
 	e.processSelected(ev, seq, slots)
+	e.arena.Release()
 	return e.out
 }
 
@@ -450,6 +459,7 @@ func (e *Engine) ProcessBatchSelected(evs []*event.Event, seq0 uint64, sel, slot
 	for k, i := range sel {
 		e.processSelected(evs[i], seq0+uint64(i), slots[slotOff[k]:slotOff[k+1]])
 	}
+	e.arena.Release()
 	return e.out
 }
 
@@ -588,20 +598,69 @@ func (e *Engine) combine(p *node, li, ri *inst) *inst {
 	return merged
 }
 
-// emit materializes a root instance as one query's match, remapping node
-// slots to the query's compiled term positions, filtering by the consumer's
-// Since watermark and applying its negation checks.
+// emit materializes a root instance as one query's match, filtering by the
+// consumer's Since watermark and applying its negation checks. Delivered
+// matches come from the arena; a vetoed match is checked on the scratch
+// view and never allocated; a pending match (trailing negation) may wait
+// across many calls, so it is allocated on its own and never pins a chunk.
 func (e *Engine) emit(cons *consumer, in *inst) {
 	if in.minSeq < cons.since {
 		return // predates the query's registration
 	}
-	m := match.New(cons.c.N)
-	// One flat backing array serves every position group: a single allocation
-	// instead of one per slot. The 3-arg slice caps each group at length 1 so
-	// a consumer appending to a group cannot clobber its neighbor's slot.
-	flat := make([]*event.Event, len(in.ev))
-	for slot, ev := range in.ev {
-		flat[slot] = ev
+	if !cons.hasNegs() {
+		e.deliver(cons, e.materialize(cons, in, true))
+		return
+	}
+	chk := &e.check
+	if cap(chk.Positions) < cons.c.N {
+		chk.Positions = make([][]*event.Event, cons.c.N)
+	}
+	chk.Positions = chk.Positions[:cons.c.N]
+	clear(chk.Positions)
+	for slot := range in.ev {
+		chk.Positions[cons.termOf[slot]] = in.ev[slot : slot+1 : slot+1]
+	}
+	for _, spec := range cons.negComplete {
+		if e.violated(cons, chk, spec) {
+			e.st.NegKilled++
+			return
+		}
+	}
+	if len(cons.negPending) > 0 {
+		for _, spec := range cons.negPending {
+			if e.violated(cons, chk, spec) {
+				e.st.NegKilled++
+				return
+			}
+		}
+		e.pendings = append(e.pendings, pending{
+			cons: cons, m: e.materialize(cons, in, false), deadline: in.minTS + cons.c.Window,
+		})
+		if cur := e.CurrentPartial(); cur > e.st.PeakPartial {
+			e.st.PeakPartial = cur
+		}
+		return
+	}
+	e.deliver(cons, e.materialize(cons, in, true))
+}
+
+// materialize builds one query's match from a root instance, remapping node
+// slots to the query's compiled term positions. The match, its table and
+// its events come from the arena when fromArena is set, else from three
+// allocations of their own.
+func (e *Engine) materialize(cons *consumer, in *inst, fromArena bool) *match.Match {
+	var m *match.Match
+	var flat []*event.Event
+	if fromArena {
+		m, flat = e.arena.New(cons.c.N), e.arena.Events(len(in.ev))
+	} else {
+		m, flat = match.New(cons.c.N), make([]*event.Event, len(in.ev))
+	}
+	// One flat backing array serves every position group. The 3-arg slice
+	// caps each group at length 1 so a consumer appending to a group cannot
+	// clobber its neighbor's slot.
+	copy(flat, in.ev)
+	for slot := range flat {
 		m.Positions[cons.termOf[slot]] = flat[slot : slot+1 : slot+1]
 	}
 	if e.prov {
@@ -620,28 +679,7 @@ func (e *Engine) emit(cons *consumer, in *inst) {
 		}
 		m.Prov = &match.Prov{Seqs: seqs}
 	}
-	for _, spec := range cons.negComplete {
-		if e.violated(cons, m, spec) {
-			e.st.NegKilled++
-			return
-		}
-	}
-	if len(cons.negPending) > 0 {
-		for _, spec := range cons.negPending {
-			if e.violated(cons, m, spec) {
-				e.st.NegKilled++
-				return
-			}
-		}
-		e.pendings = append(e.pendings, &pending{
-			cons: cons, m: m, deadline: in.minTS + cons.c.Window,
-		})
-		if cur := e.CurrentPartial(); cur > e.st.PeakPartial {
-			e.st.PeakPartial = cur
-		}
-		return
-	}
-	e.deliver(cons, m)
+	return m
 }
 
 // deliver appends one tagged match to the output batch.
@@ -680,15 +718,14 @@ func (e *Engine) expirePendings() {
 			keep = append(keep, pd)
 		}
 	}
-	for i := len(keep); i < len(e.pendings); i++ {
-		e.pendings[i] = nil
-	}
+	clear(e.pendings[len(keep):])
 	e.pendings = keep
 }
 
 // killPendings marks pending matches violated by the arriving event.
 func (e *Engine) killPendings(ev *event.Event) {
-	for _, pd := range e.pendings {
+	for i := range e.pendings {
+		pd := &e.pendings[i]
 		if pd.dead {
 			continue
 		}
@@ -752,6 +789,7 @@ func (e *Engine) Flush() []Tagged {
 		}
 	}
 	e.pendings = nil
+	e.arena.Release()
 	return e.out
 }
 
@@ -762,7 +800,7 @@ func (e *Engine) Close() {
 	e.closed = true
 	for _, n := range e.nodes {
 		for _, ix := range n.indexes {
-			ix.buckets = nil
+			ix.buckets, ix.spare = nil, nil
 		}
 		for _, in := range n.buffer {
 			e.putInst(in)
@@ -971,7 +1009,7 @@ func (e *Engine) AdoptFrom(olds []*Engine, spliceSeq uint64) {
 					continue
 				}
 			}
-			e.pendings = append(e.pendings, &pending{
+			e.pendings = append(e.pendings, pending{
 				cons: nc, m: pd.m, deadline: pd.deadline,
 			})
 		}

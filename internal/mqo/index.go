@@ -87,6 +87,10 @@ func (k *eqKey) of(in *inst) (key uint64, ok bool) {
 type joinIndex struct {
 	key     eqKey
 	buckets map[uint64][]*inst // created on the first add
+	// spare holds the emptied, cleared buckets sweep deleted, so a key that
+	// returns reuses one instead of allocating. It never outgrows the peak
+	// bucket count.
+	spare [][]*inst
 }
 
 func (ix *joinIndex) add(in *inst) {
@@ -97,7 +101,13 @@ func (ix *joinIndex) add(in *inst) {
 	if ix.buckets == nil {
 		ix.buckets = map[uint64][]*inst{}
 	}
-	ix.buckets[k] = append(ix.buckets[k], in)
+	b, found := ix.buckets[k]
+	if n := len(ix.spare); !found && n > 0 {
+		b = ix.spare[n-1]
+		ix.spare[n-1] = nil
+		ix.spare = ix.spare[:n-1]
+	}
+	ix.buckets[k] = append(b, in)
 }
 
 // sweep drops the instances compact is about to recycle — the same
@@ -114,6 +124,7 @@ func (ix *joinIndex) sweep(now, window event.Time) {
 		clear(b[len(keep):])
 		if len(keep) == 0 {
 			delete(ix.buckets, k)
+			ix.spare = append(ix.spare, keep)
 		} else {
 			ix.buckets[k] = keep
 		}
@@ -138,7 +149,7 @@ func (n *node) indexOn(slot int, attr string) *joinIndex {
 // buffers wholesale).
 func (n *node) reindex() {
 	for _, ix := range n.indexes {
-		ix.buckets = nil
+		ix.buckets, ix.spare = nil, nil
 		for _, in := range n.buffer {
 			ix.add(in)
 		}

@@ -121,3 +121,75 @@ func TestPoolNoLeakAcrossSplice(t *testing.T) {
 	succ.Close()
 	assertNoLeak(t, succ, "successor after splice")
 }
+
+// TestRetainedMatchesIntact keeps every returned match — trailing-negation
+// pendings included — across hundreds of batches and checks at the end
+// that each still has the key it had when it was returned: no arena chunk
+// and no pooled instance is reused under a delivered match.
+func TestRetainedMatchesIntact(t *testing.T) {
+	eng, err := buildEngine(leakQueries(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	events := enginetest.Stream(rng, 6400, enginetest.TypeNames, 2)
+	var kept []Tagged
+	var keys []string
+	keep := func(tms []Tagged) {
+		for _, tm := range tms {
+			kept = append(kept, tm)
+			keys = append(keys, tm.M.Key())
+		}
+	}
+	for i := 0; i < len(events); i += 32 { // 200 batches
+		keep(eng.ProcessBatch(events[i:min(i+32, len(events))], uint64(i+1)))
+	}
+	keep(eng.Flush())
+	perQuery := map[string]int{}
+	for i, tm := range kept {
+		perQuery[tm.Query]++
+		if got := tm.M.Key(); got != keys[i] {
+			t.Fatalf("%s: match %d changed after delivery: %s, was %s", tm.Query, i, got, keys[i])
+		}
+	}
+	for _, name := range eng.Names() {
+		if perQuery[name] == 0 {
+			t.Fatalf("query %s emitted nothing — test exercises nothing there", name)
+		}
+	}
+}
+
+// TestProcessBatchAllocs guards the allocation-lean emission of the shared
+// DAG: in steady state, shared, keyed and negation members together cost
+// well under one allocation per event, matches included.
+func TestProcessBatchAllocs(t *testing.T) {
+	qs := leakQueries(t)
+	var lean []*qstate
+	for _, q := range qs {
+		if q.name != "trailing-neg" { // pendings are allocated one by one
+			lean = append(lean, q)
+		}
+	}
+	eng, err := buildEngine(lean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch, runs = 64, 50
+	events := enginetest.Stream(rand.New(rand.NewSource(9)), batch*(2*runs+1), enginetest.TypeNames, 2)
+	next, matches := 0, 0
+	feed := func() {
+		matches += len(eng.ProcessBatch(events[next:next+batch], uint64(next+1)))
+		next += batch
+	}
+	for range runs { // warm up free list, buffers and indexes
+		feed()
+	}
+	perEvent := testing.AllocsPerRun(runs, feed) / batch
+	if matches == 0 {
+		t.Fatal("no matches — guard measures nothing")
+	}
+	t.Logf("%.3f allocations per event, %d matches", perEvent, matches)
+	if perEvent >= 0.5 {
+		t.Fatalf("%.2f allocations per event, want < 0.5", perEvent)
+	}
+}

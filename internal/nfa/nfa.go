@@ -78,6 +78,18 @@ type pendingMatch struct {
 	deadline event.Time
 }
 
+// PoolStats counts the engine's partial-match pool traffic. Gets is the
+// total number of partial-match acquisitions (News of them freshly
+// allocated, the rest recycled), Puts the returns. Live() is the number of
+// partial matches currently held in the level stores or the pending queue —
+// the leak tests assert it reaches zero after Close.
+type PoolStats struct {
+	News, Gets, Puts int64
+}
+
+// Live returns the number of pool-owned partial matches not yet returned.
+func (ps PoolStats) Live() int64 { return ps.Gets - ps.Puts }
+
 // Engine is a single-pattern, single-plan evaluation engine. It is not
 // safe for concurrent use; run one engine per goroutine.
 type Engine struct {
@@ -96,14 +108,32 @@ type Engine struct {
 	negComplete []predicate.NegSpec
 	negPending  []predicate.NegSpec
 
-	buffers   [][]*event.Event // per term position, timestamp-ordered
-	levels    [][]*pm          // levels[s-1] holds partial matches with s steps
-	pending   []*pendingMatch
+	// buffers holds the in-window events per term position, timestamp-
+	// ordered. Each is an event.AppendLog, so an entry is never overwritten
+	// and a singleton group is the one-entry subslice buf[i:i+1:i+1] of it:
+	// no allocation, and nothing pinned that the buffer did not already
+	// hold.
+	buffers   [][]*event.Event
+	levels    [][]*pm // levels[s-1] holds partial matches with s steps
+	pending   []pendingMatch
 	now       event.Time
 	nBuffered int
 	nPartial  int
 	st        Stats
 	out       []*match.Match
+	arena     match.Arena
+
+	// free is the engine-local partial-match free list, with exact
+	// accounting in pstats (Live()==0 after Close). Emission copies a
+	// match's positions into the arena, so no pooled table ever escapes.
+	free   []*pm
+	pstats PoolStats
+	// snaps is the per-call snapshot of the level stores; kbase and ksub
+	// are per-step Kleene scratch (extension recurses to strictly later
+	// steps, so one slot per step never aliases a live outer loop).
+	snaps [][]*pm
+	kbase [][]*event.Event
+	ksub  [][]*event.Event
 }
 
 // New builds an engine for the compiled pattern and evaluation order.
@@ -136,6 +166,14 @@ func New(c *predicate.Compiled, orderTerms []int, cfg Config) (*Engine, error) {
 		stepOf:  make([]int, c.N),
 		buffers: make([][]*event.Event, c.N),
 		levels:  make([][]*pm, len(orderTerms)),
+		snaps:   make([][]*pm, len(orderTerms)),
+	}
+	for _, pos := range orderTerms {
+		if c.Kleene[pos] {
+			e.kbase = make([][]*event.Event, len(orderTerms))
+			e.ksub = make([][]*event.Event, len(orderTerms))
+			break
+		}
 	}
 	for i := range e.stepOf {
 		e.stepOf[i] = -1
@@ -178,12 +216,59 @@ func (e *Engine) CurrentPartial() int { return e.nPartial + len(e.pending) }
 // CurrentBuffered returns the number of buffered events.
 func (e *Engine) CurrentBuffered() int { return e.nBuffered }
 
+// PoolStats returns a copy of the pool counters.
+func (e *Engine) PoolStats() PoolStats { return e.pstats }
+
+// getPM acquires a partial match with a clean positions table of the
+// pattern's width (putPM clears the entries, so no re-clearing is needed).
+func (e *Engine) getPM() *pm {
+	e.pstats.Gets++
+	if n := len(e.free); n > 0 {
+		p := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return p
+	}
+	e.pstats.News++
+	return &pm{positions: make([][]*event.Event, e.c.N)}
+}
+
+// putPM returns a partial match the caller solely owns. Its groups are
+// dropped so a recycled partial match never pins expired events (the
+// groups themselves may still be shared read-only with live ones).
+func (e *Engine) putPM(p *pm) {
+	e.pstats.Puts++
+	clear(p.positions)
+	p.minTS, p.maxTS, p.steps, p.extended, p.dead = 0, 0, 0, false, false
+	e.free = append(e.free, p)
+}
+
 // Process consumes one event (timestamps must be non-decreasing) and
-// returns the full matches emitted by it.
+// returns the full matches emitted by it. The returned slice is reused by
+// the next call; the matches in it are not.
 func (e *Engine) Process(ev *event.Event) []*match.Match {
+	e.out = e.out[:0]
+	e.processOne(ev)
+	e.arena.Release()
+	return e.out
+}
+
+// ProcessBatch consumes a timestamp-ordered batch in one wake-up and
+// returns the matches of the whole batch, in stream order. Semantically
+// identical to calling Process per event. The returned slice is reused by
+// the next call; the matches in it are not.
+func (e *Engine) ProcessBatch(evs []*event.Event) []*match.Match {
+	e.out = e.out[:0]
+	for _, ev := range evs {
+		e.processOne(ev)
+	}
+	e.arena.Release()
+	return e.out
+}
+
+func (e *Engine) processOne(ev *event.Event) {
 	e.st.Processed++
 	e.now = ev.TS
-	e.out = e.out[:0]
 
 	e.expirePending()
 	e.purgeBuffers()
@@ -198,7 +283,7 @@ func (e *Engine) Process(ev *event.Event) []*match.Match {
 	// very call).
 	for pos := 0; pos < e.c.N; pos++ {
 		if e.c.Types[pos] == ev.Type && e.c.Preds.CheckUnary(pos, ev) {
-			e.buffers[pos] = append(e.buffers[pos], ev)
+			e.buffers[pos] = event.AppendLog(e.buffers[pos], ev)
 			e.nBuffered++
 		}
 	}
@@ -209,7 +294,7 @@ func (e *Engine) Process(ev *event.Event) []*match.Match {
 	// Snapshot the level stores: extensions triggered by this event must
 	// not see partial matches created during this same call (those are
 	// completed through the buffers by the cascade instead).
-	snaps := make([][]*pm, len(e.levels))
+	snaps := e.snaps
 	copy(snaps, e.levels)
 
 	for s, pos := range e.order {
@@ -217,8 +302,9 @@ func (e *Engine) Process(ev *event.Event) []*match.Match {
 			continue
 		}
 		if s == 0 {
-			root := &pm{positions: make([][]*event.Event, e.c.N)}
+			root := e.getPM() // empty: every step-0 match extends it
 			e.tryExtend(root, s, ev)
+			e.putPM(root)
 			continue
 		}
 		for _, p := range snaps[s-1] {
@@ -232,10 +318,11 @@ func (e *Engine) Process(ev *event.Event) []*match.Match {
 		}
 	}
 
+	clear(snaps)
+
 	if e.st.Processed%compactEvery == 0 {
 		e.compact()
 	}
-	return e.out
 }
 
 // Flush emits the pending matches whose negation verdict can no longer
@@ -246,9 +333,28 @@ func (e *Engine) Flush() []*match.Match {
 		if !pd.p.dead {
 			e.emit(pd.p)
 		}
+		e.putPM(pd.p)
 	}
 	e.pending = nil
+	e.arena.Release()
 	return e.out
+}
+
+// Close releases the engine's partial matches — every level store and
+// pending match returns to the pool (leak tests assert PoolStats().Live()
+// == 0 after Flush+Close). It is idempotent.
+func (e *Engine) Close() {
+	for s, level := range e.levels {
+		for _, p := range level {
+			e.putPM(p)
+		}
+		e.levels[s] = nil
+	}
+	for _, pd := range e.pending {
+		e.putPM(pd.p)
+	}
+	e.pending = nil
+	e.nPartial = 0
 }
 
 // tryExtend attempts to extend p (which has s matched steps) with the newly
@@ -259,23 +365,26 @@ func (e *Engine) tryExtend(p *pm, s int, ev *event.Event) {
 		return
 	}
 	if e.c.Kleene[pos] {
-		base := e.kleeneBase(p, pos, ev)
+		base := e.kleeneBase(p, s, ev)
 		// Subsets of earlier compatible events, each completed with ev.
-		e.forEachSubset(base, func(subset []*event.Event) bool {
-			group := append(append([]*event.Event(nil), subset...), ev)
+		e.forEachSubset(s, base, ev, func(group []*event.Event) bool {
 			child := e.spawn(p, pos, group)
 			if child == nil {
 				return false
 			}
+			child.positions[pos] = append([]*event.Event(nil), group...)
 			e.place(child)
 			return e.cfg.Strategy == predicate.SkipTillNextMatch
-		}, true)
+		})
 		if e.cfg.Strategy == predicate.SkipTillNextMatch {
 			p.extended = true
 		}
 		return
 	}
-	child := e.spawn(p, pos, []*event.Event{ev})
+	// The arriving event was just appended to this position's buffer.
+	buf := e.buffers[pos]
+	n := len(buf)
+	child := e.spawn(p, pos, buf[n-1:n:n])
 	if child == nil {
 		return
 	}
@@ -294,25 +403,27 @@ func (e *Engine) cascade(p *pm) {
 	}
 	pos := e.order[s]
 	if e.c.Kleene[pos] {
-		base := e.kleeneBase(p, pos, nil)
-		e.forEachSubset(base, func(subset []*event.Event) bool {
-			child := e.spawn(p, pos, subset)
+		base := e.kleeneBase(p, s, nil)
+		e.forEachSubset(s, base, nil, func(group []*event.Event) bool {
+			child := e.spawn(p, pos, group)
 			if child == nil {
 				return false
 			}
+			child.positions[pos] = append([]*event.Event(nil), group...)
 			e.place(child)
 			return e.cfg.Strategy == predicate.SkipTillNextMatch
-		}, false)
+		})
 		return
 	}
-	for _, b := range e.buffers[pos] {
+	buf := e.buffers[pos]
+	for i, b := range buf {
 		if e.cfg.Strategy == predicate.SkipTillNextMatch && (b.Consumed() || p.extended) {
 			continue
 		}
 		if !e.compatible(p, pos, b) {
 			continue
 		}
-		child := e.spawn(p, pos, []*event.Event{b})
+		child := e.spawn(p, pos, buf[i:i+1:i+1])
 		if child == nil {
 			continue
 		}
@@ -350,10 +461,12 @@ func (e *Engine) compatible(p *pm, pos int, cand *event.Event) bool {
 	return true
 }
 
-// kleeneBase collects the buffered events at a Kleene position compatible
-// with p (and distinct from the arriving event), applying the subset cap.
-func (e *Engine) kleeneBase(p *pm, pos int, arriving *event.Event) []*event.Event {
-	var base []*event.Event
+// kleeneBase collects the buffered events at step s's Kleene position
+// compatible with p (and distinct from the arriving event), applying the
+// subset cap. The result lives in step s's scratch.
+func (e *Engine) kleeneBase(p *pm, s int, arriving *event.Event) []*event.Event {
+	pos := e.order[s]
+	base := e.kbase[s][:0]
 	for _, b := range e.buffers[pos] {
 		if b == arriving {
 			continue
@@ -365,6 +478,7 @@ func (e *Engine) kleeneBase(p *pm, pos int, arriving *event.Event) []*event.Even
 			base = append(base, b)
 		}
 	}
+	e.kbase[s] = base
 	if len(base) > e.cfg.MaxKleeneBase {
 		base = base[len(base)-e.cfg.MaxKleeneBase:]
 		e.st.KleeneCapped++
@@ -372,18 +486,20 @@ func (e *Engine) kleeneBase(p *pm, pos int, arriving *event.Event) []*event.Even
 	return base
 }
 
-// forEachSubset enumerates subsets of base (including the empty subset when
-// withEmpty is true, excluding it otherwise), stopping early when fn
-// returns true. Subset members must additionally be mutually within the
-// window; incompatible subsets are skipped.
-func (e *Engine) forEachSubset(base []*event.Event, fn func([]*event.Event) bool, withEmpty bool) {
+// forEachSubset enumerates the subsets of base for step s, each followed by
+// last when it is non-nil (the arriving event, which makes the empty subset
+// a group too; without it the empty subset is skipped), stopping early when
+// fn returns true. Subset members must additionally be mutually within the
+// window; incompatible subsets are skipped. The group fn receives lives in
+// step s's scratch and is overwritten by the next one.
+func (e *Engine) forEachSubset(s int, base []*event.Event, last *event.Event, fn func([]*event.Event) bool) {
 	n := len(base)
 	start := 0
-	if !withEmpty {
+	if last == nil {
 		start = 1
 	}
 	for mask := start; mask < 1<<uint(n); mask++ {
-		var subset []*event.Event
+		subset := e.ksub[s][:0]
 		ok := true
 		var min, max event.Time
 		first := true
@@ -407,6 +523,10 @@ func (e *Engine) forEachSubset(base []*event.Event, fn func([]*event.Event) bool
 				}
 			}
 		}
+		if last != nil {
+			subset = append(subset, last)
+		}
+		e.ksub[s] = subset
 		if !ok {
 			continue
 		}
@@ -417,7 +537,8 @@ func (e *Engine) forEachSubset(base []*event.Event, fn func([]*event.Event) bool
 }
 
 // spawn builds the child partial match of p with group bound at pos,
-// returning nil if the combined window is violated.
+// returning nil if the combined window is violated. The child takes group
+// as is; a caller passing scratch replaces it with a copy.
 func (e *Engine) spawn(p *pm, pos int, group []*event.Event) *pm {
 	if len(group) == 0 {
 		return nil
@@ -442,12 +563,9 @@ func (e *Engine) spawn(p *pm, pos int, group []*event.Event) *pm {
 	if max-min > e.c.Window {
 		return nil
 	}
-	child := &pm{
-		positions: append([][]*event.Event(nil), p.positions...),
-		minTS:     min,
-		maxTS:     max,
-		steps:     p.steps + 1,
-	}
+	child := e.getPM()
+	copy(child.positions, p.positions)
+	child.minTS, child.maxTS, child.steps = min, max, p.steps+1
 	child.positions[pos] = group
 	return child
 }
@@ -458,6 +576,7 @@ func (e *Engine) place(p *pm) {
 	e.st.Created++
 	for _, spec := range e.negEarly[p.steps] {
 		if e.violated(p, spec) {
+			e.putPM(p) // rejected before storage: sole owner
 			return
 		}
 	}
@@ -474,29 +593,34 @@ func (e *Engine) place(p *pm) {
 }
 
 // complete handles a full positive match: completion-time negation checks,
-// pending-queue admission, or immediate emission.
+// pending-queue admission, or immediate emission. A complete match is
+// never stored, so every path but the pending queue recycles it here.
 func (e *Engine) complete(p *pm) {
 	if e.cfg.Strategy == predicate.SkipTillNextMatch && e.anyConsumed(p) {
+		e.putPM(p)
 		return
 	}
 	for _, spec := range e.negComplete {
 		if e.violated(p, spec) {
+			e.putPM(p)
 			return
 		}
 	}
 	if len(e.negPending) > 0 {
 		for _, spec := range e.negPending {
 			if e.violated(p, spec) {
+				e.putPM(p)
 				return
 			}
 		}
-		e.pending = append(e.pending, &pendingMatch{p: p, deadline: p.minTS + e.c.Window})
+		e.pending = append(e.pending, pendingMatch{p: p, deadline: p.minTS + e.c.Window})
 		if cur := e.CurrentPartial(); cur > e.st.PeakPartial {
 			e.st.PeakPartial = cur
 		}
 		return
 	}
 	e.emit(p)
+	e.putPM(p)
 }
 
 // violated scans the negated position's buffer for an event invalidating p
@@ -511,8 +635,11 @@ func (e *Engine) violated(p *pm, spec predicate.NegSpec) bool {
 	return false
 }
 
+// emit copies p's positions into an arena match and delivers it; p stays
+// with the caller, which recycles it.
 func (e *Engine) emit(p *pm) {
-	m := &match.Match{Positions: p.positions}
+	m := e.arena.New(e.c.N)
+	copy(m.Positions, p.positions)
 	e.st.Matches++
 	if e.cfg.Strategy == predicate.SkipTillNextMatch {
 		for _, g := range p.positions {
@@ -547,14 +674,17 @@ func (e *Engine) expirePending() {
 	for _, pd := range e.pending {
 		switch {
 		case pd.p.dead:
+			e.putPM(pd.p)
 		case pd.deadline < e.now:
 			if !(e.cfg.Strategy == predicate.SkipTillNextMatch && e.anyConsumed(pd.p)) {
 				e.emit(pd.p)
 			}
+			e.putPM(pd.p)
 		default:
 			keep = append(keep, pd)
 		}
 	}
+	clear(e.pending[len(keep):])
 	e.pending = keep
 }
 
@@ -599,14 +729,14 @@ func (e *Engine) compact() {
 	for s, level := range e.levels {
 		keep := level[:0]
 		for _, p := range level {
-			if p.dead || e.expired(p) {
-				continue
-			}
-			if e.cfg.Strategy == predicate.SkipTillNextMatch && e.anyConsumed(p) {
+			if p.dead || e.expired(p) ||
+				(e.cfg.Strategy == predicate.SkipTillNextMatch && e.anyConsumed(p)) {
+				e.putPM(p)
 				continue
 			}
 			keep = append(keep, p)
 		}
+		clear(level[len(keep):])
 		e.levels[s] = keep
 		total += len(keep)
 	}

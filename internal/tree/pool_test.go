@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/match"
 	"repro/internal/pattern"
 	"repro/internal/plan"
 	"repro/internal/predicate"
@@ -171,5 +172,91 @@ func TestProcessBatchMatchesPerEvent(t *testing.T) {
 			}
 		}
 		assertNoLeak(t, e, "batched")
+	}
+}
+
+// TestRetainedMatchesIntact keeps every returned match across hundreds of
+// batches and checks at the end that each still has the key it had when
+// it was returned: no arena chunk and no pooled table is reused under a
+// delivered match.
+func TestRetainedMatchesIntact(t *testing.T) {
+	shapes := []struct {
+		name string
+		p    *pattern.Pattern
+		root *plan.TreeNode
+	}{
+		{
+			"seq",
+			pattern.Seq(8, pattern.E("A", "a"), pattern.E("B", "b"), pattern.E("C", "c")),
+			plan.Join(plan.LeafNode(2), plan.Join(plan.LeafNode(0), plan.LeafNode(1))),
+		},
+		{
+			"trailing-negation",
+			pattern.Seq(6, pattern.E("A", "a"), pattern.E("B", "b"), pattern.Not("C", "nc")),
+			plan.Join(plan.LeafNode(0), plan.LeafNode(1)),
+		},
+		{
+			"kleene",
+			pattern.And(8, pattern.E("A", "a"), pattern.KL("B", "b")),
+			plan.Join(plan.LeafNode(0), plan.LeafNode(1)),
+		},
+	}
+	for _, sh := range shapes {
+		e, err := New(compile(t, sh.p, predicate.SkipTillAnyMatch), sh.root, Config{MaxKleeneBase: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := randEvents(11, 6400)
+		var kept []*match.Match
+		var keys []string
+		keep := func(ms []*match.Match) {
+			for _, m := range ms {
+				kept = append(kept, m)
+				keys = append(keys, m.Key())
+			}
+		}
+		for i := 0; i < len(evs); i += 32 { // 200 batches
+			keep(e.ProcessBatch(evs[i:min(i+32, len(evs))]))
+		}
+		keep(e.Flush())
+		if len(kept) == 0 {
+			t.Fatalf("%s: no matches — test exercises nothing", sh.name)
+		}
+		for i, m := range kept {
+			if got := m.Key(); got != keys[i] {
+				t.Fatalf("%s: match %d changed after delivery: %s, was %s", sh.name, i, got, keys[i])
+			}
+		}
+	}
+}
+
+// TestProcessBatchAllocs guards the allocation-lean emission: in steady
+// state a non-Kleene pattern costs well under one allocation per event,
+// matches included.
+func TestProcessBatchAllocs(t *testing.T) {
+	p := pattern.Seq(8, pattern.E("A", "a"), pattern.E("B", "b"), pattern.Not("D", "nd"), pattern.E("C", "c")).
+		Where(pattern.AttrCmp("a", "x", pattern.Le, "c", "x"))
+	root := plan.Join(plan.LeafNode(3), plan.Join(plan.LeafNode(0), plan.LeafNode(1)))
+	e, err := New(compile(t, p, predicate.SkipTillAnyMatch), root, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch, runs = 64, 50
+	evs := randEvents(3, batch*(2*runs+1))
+	next, matches := 0, 0
+	feed := func() {
+		matches += len(e.ProcessBatch(evs[next : next+batch]))
+		next += batch
+	}
+	for range runs { // warm up free list and buffers
+		feed()
+	}
+	perEvent := testing.AllocsPerRun(runs, feed) / batch
+	if matches == 0 {
+		t.Fatal("no matches — guard measures nothing")
+	}
+	t.Logf("%.3f allocations per event, %d matches", perEvent, matches)
+	if perEvent >= 0.5 {
+		t.Fatalf("%.2f allocations per event, want < 0.5", perEvent)
 	}
 }

@@ -97,21 +97,29 @@ type Engine struct {
 	negPending  []predicate.NegSpec
 	negBuffers  [][]*event.Event // per negated term position
 	rawKleene   [][]*event.Event // per Kleene term position: raw events for grouping
+	// singles holds, per ordinary leaf position, the in-window events that
+	// entered the leaf as an event.AppendLog, so a leaf instance's group is
+	// the one-entry subslice buf[i:i+1:i+1]: no allocation per event, and
+	// the entry is never overwritten.
+	singles [][]*event.Event
 
-	pending   []*pendingMatch
+	pending   []pendingMatch
 	now       event.Time
 	nPartial  int
 	nBuffered int
 	st        Stats
 	out       []*match.Match
+	arena     match.Arena
 
 	// free is the engine-local partial-match free list. The engine is a
 	// single-goroutine machine, so a plain slice beats sync.Pool here: no
 	// per-P shuttling, no GC-driven eviction, and the counters in pstats
-	// give exact leak accounting (Live()==0 after Close).
+	// give exact leak accounting (Live()==0 after Close). Emission copies a
+	// match's positions into the arena, so no pooled table ever escapes.
 	free          []*inst
 	pstats        PoolStats
 	kleeneScratch []*event.Event
+	groupScratch  []*event.Event
 }
 
 // PoolStats counts the engine's partial-match pool traffic. Gets is the
@@ -138,9 +146,6 @@ func (e *Engine) getInst() *inst {
 		in := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		if in.positions == nil {
-			in.positions = make([][]*event.Event, e.c.N)
-		}
 		in.dead = false
 		return in
 	}
@@ -148,25 +153,13 @@ func (e *Engine) getInst() *inst {
 	return &inst{positions: make([][]*event.Event, e.c.N)}
 }
 
-// putInst returns an instance whose positions table did NOT escape. The
-// caller must be the sole owner; position groups are dropped here so
-// recycled instances never pin expired events (the groups themselves may
-// still be shared read-only with other live instances — only the outer
-// table is reused).
+// putInst returns an instance the caller solely owns. Position groups are
+// dropped here so recycled instances never pin expired events (the groups
+// themselves may still be shared read-only with other live instances —
+// only the outer table is reused).
 func (e *Engine) putInst(in *inst) {
 	e.pstats.Puts++
-	for i := range in.positions {
-		in.positions[i] = nil
-	}
-	e.free = append(e.free, in)
-}
-
-// putShell returns an instance whose positions table escaped into an
-// emitted Match: the match now owns the table, so only the shell recycles
-// (getInst re-creates the table on reuse).
-func (e *Engine) putShell(in *inst) {
-	e.pstats.Puts++
-	in.positions = nil
+	clear(in.positions)
 	e.free = append(e.free, in)
 }
 
@@ -202,6 +195,7 @@ func New(c *predicate.Compiled, planRoot *plan.TreeNode, cfg Config) (*Engine, e
 		leaves:     make([]*node, c.N),
 		negBuffers: make([][]*event.Event, c.N),
 		rawKleene:  make([][]*event.Event, c.N),
+		singles:    make([][]*event.Event, c.N),
 	}
 	e.root = e.build(planRoot, nil)
 	e.placeNegations()
@@ -285,10 +279,12 @@ func (e *Engine) CurrentPartial() int { return e.nPartial + len(e.pending) }
 func (e *Engine) CurrentBuffered() int { return e.nBuffered }
 
 // Process consumes one event (timestamps non-decreasing) and returns the
-// matches it completed. The returned slice is reused by the next call.
+// matches it completed. The returned slice is reused by the next call; the
+// matches in it are not.
 func (e *Engine) Process(ev *event.Event) []*match.Match {
 	e.out = e.out[:0]
 	e.processOne(ev)
+	e.arena.Release()
 	return e.out
 }
 
@@ -296,12 +292,13 @@ func (e *Engine) Process(ev *event.Event) []*match.Match {
 // returns the matches of the whole batch, in stream order. Semantically
 // identical to calling Process per event; the batch form amortizes the
 // output reset and lets one queue item carry many events. The returned
-// slice is reused by the next call.
+// slice is reused by the next call; the matches in it are not.
 func (e *Engine) ProcessBatch(evs []*event.Event) []*match.Match {
 	e.out = e.out[:0]
 	for _, ev := range evs {
 		e.processOne(ev)
 	}
+	e.arena.Release()
 	return e.out
 }
 
@@ -332,9 +329,12 @@ func (e *Engine) processOne(ev *event.Event) {
 			e.processKleeneLeaf(leaf, pos, ev)
 			continue
 		}
+		buf := event.AppendLog(e.singles[pos], ev)
+		e.singles[pos] = buf
+		n := len(buf)
 		in := e.getInst()
 		in.minTS, in.maxTS = ev.TS, ev.TS
-		in.positions[pos] = []*event.Event{ev}
+		in.positions[pos] = buf[n-1 : n : n]
 		e.insert(leaf, in)
 	}
 	if e.nBuffered > e.st.PeakBuffered {
@@ -364,7 +364,7 @@ func (e *Engine) processKleeneLeaf(leaf *node, pos int, ev *event.Event) {
 		e.st.KleeneCapped++
 	}
 	for mask := 0; mask < 1<<uint(len(base)); mask++ {
-		group := make([]*event.Event, 0, len(base)+1)
+		group := e.groupScratch[:0]
 		min, max := ev.TS, ev.TS
 		ok := true
 		for i := 0; i < len(base) && ok; i++ {
@@ -383,13 +383,13 @@ func (e *Engine) processKleeneLeaf(leaf *node, pos int, ev *event.Event) {
 				ok = false
 			}
 		}
+		e.groupScratch = group
 		if !ok {
 			continue
 		}
-		group = append(group, ev)
 		in := e.getInst()
 		in.minTS, in.maxTS = min, max
-		in.positions[pos] = group
+		in.positions[pos] = append(append(make([]*event.Event, 0, len(group)+1), group...), ev)
 		e.insert(leaf, in)
 	}
 	e.rawKleene[pos] = append(e.rawKleene[pos], ev)
@@ -504,7 +504,7 @@ func (e *Engine) combine(ln *node, li *inst, rn *node, ri *inst, parent *node) *
 
 // complete handles a full match at the root. Root instances are never
 // buffered, so every path either hands the instance to the pending queue,
-// emits it (emit recycles the shell), or recycles it here.
+// or emits and recycles it.
 func (e *Engine) complete(in *inst) {
 	if e.cfg.Strategy == predicate.SkipTillNextMatch && e.anyConsumed(in) {
 		e.putInst(in)
@@ -523,7 +523,7 @@ func (e *Engine) complete(in *inst) {
 				return
 			}
 		}
-		e.pending = append(e.pending, &pendingMatch{in: in, deadline: in.minTS + e.c.Window})
+		e.pending = append(e.pending, pendingMatch{in: in, deadline: in.minTS + e.c.Window})
 		if cur := e.CurrentPartial(); cur > e.st.PeakPartial {
 			e.st.PeakPartial = cur
 		}
@@ -545,8 +545,11 @@ func (e *Engine) violated(in *inst, spec predicate.NegSpec) bool {
 	return false
 }
 
+// emit copies the instance's positions into an arena match, delivers it and
+// recycles the instance.
 func (e *Engine) emit(in *inst) {
-	m := &match.Match{Positions: in.positions}
+	m := e.arena.New(e.c.N)
+	copy(m.Positions, in.positions)
 	e.st.Matches++
 	if e.cfg.Strategy == predicate.SkipTillNextMatch {
 		for _, g := range in.positions {
@@ -559,8 +562,7 @@ func (e *Engine) emit(in *inst) {
 		e.cfg.OnMatch(m)
 	}
 	e.out = append(e.out, m)
-	// The positions table now belongs to the match; recycle the shell only.
-	e.putShell(in)
+	e.putInst(in)
 }
 
 func (e *Engine) anyConsumed(in *inst) bool {
@@ -585,6 +587,7 @@ func (e *Engine) Flush() []*match.Match {
 		e.emit(pd.in)
 	}
 	e.pending = nil
+	e.arena.Release()
 	return e.out
 }
 
@@ -629,9 +632,7 @@ func (e *Engine) expirePending() {
 			keep = append(keep, pd)
 		}
 	}
-	for i := len(keep); i < len(e.pending); i++ {
-		e.pending[i] = nil
-	}
+	clear(e.pending[len(keep):])
 	e.pending = keep
 }
 
@@ -680,6 +681,7 @@ func (e *Engine) compact() {
 	for pos := range e.negBuffers {
 		e.negBuffers[pos], e.nBuffered = purge(e.negBuffers[pos], cut, e.nBuffered)
 		e.rawKleene[pos], e.nBuffered = purge(e.rawKleene[pos], cut, e.nBuffered)
+		e.singles[pos], _ = purge(e.singles[pos], cut, 0)
 	}
 }
 

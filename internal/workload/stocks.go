@@ -10,8 +10,7 @@
 // the published 1–45 events/second range, random-walk prices with a
 // precomputed `difference` attribute (the paper adds the same attribute in
 // preprocessing), and predicate selectivities spanning a wide range via
-// `difference` comparisons and discretised `bucket` equalities. See
-// DESIGN.md §5 for the substitution rationale.
+// `difference` comparisons and discretised `bucket` equalities.
 package workload
 
 import (

@@ -83,6 +83,9 @@ type Runtime struct {
 	engines []metrics.Engine
 	matches int64
 	closed  bool
+	// out gathers the engines' matches; it is reused by the next call, as
+	// the Process and ProcessBatch contracts allow.
+	out []*Match
 }
 
 // New plans the pattern with the given statistics and builds its engines.
@@ -178,10 +181,11 @@ func (rt *Runtime) Process(e *Event) ([]*Match, error) {
 	if e == nil {
 		return nil, ErrNilEvent
 	}
-	var out []*Match
+	out := rt.out[:0]
 	for _, eng := range rt.engines {
 		out = append(out, eng.Process(e)...)
 	}
+	rt.out = out
 	rt.matches += int64(len(out))
 	return out, nil
 }
@@ -209,12 +213,13 @@ func (rt *Runtime) ProcessBatch(events []*Event) ([]*Match, error) {
 			return out, nil
 		}
 	}
-	var out []*Match
+	out := rt.out[:0]
 	for _, e := range events {
 		for _, eng := range rt.engines {
 			out = append(out, eng.Process(e)...)
 		}
 	}
+	rt.out = out
 	rt.matches += int64(len(out))
 	return out, nil
 }

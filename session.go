@@ -967,6 +967,16 @@ func (s *Session) emit(q *sessionQuery, ms []*Match) {
 	}
 }
 
+// clearOutput drops the references a delivered output slice holds, so an
+// idle engine keeps no delivered match (and no arena chunk behind one)
+// alive. Only detectors the session built from a QueryConfig are cleared:
+// a RegisterDetector detector owns its slice, whatever it reuses it for.
+func (q *sessionQuery) clearOutput(ms []*Match) {
+	if q.qc != nil {
+		clear(ms)
+	}
+}
+
 // emitOne routes a single match.
 func (s *Session) emitOne(q *sessionQuery, m *Match) {
 	if s.tel != nil {
@@ -1098,6 +1108,9 @@ func (l *sessionLane) work(it sessionItem) {
 			l.finishProv(tm.M, it.t0)
 			l.emitShared(l.members[tm.Query], tm.M)
 		}
+		// The engine reuses this slice; clearing it leaves an idle engine
+		// holding no delivered match (and no arena chunk behind one).
+		clear(tms)
 		it.tr.Spanf(trace.StageEmit, l.idx, "matches=%d", len(tms))
 		if l.s.tel != nil {
 			l.observe(it, 1, len(tms))
@@ -1118,6 +1131,7 @@ func (l *sessionLane) work(it sessionItem) {
 		l.attachProv(ms, it.t0)
 	}
 	l.s.emit(q, ms)
+	q.clearOutput(ms)
 	it.tr.Spanf(trace.StageEmit, l.idx, "matches=%d", len(ms))
 	if l.s.tel != nil {
 		l.observe(it, 1, len(ms))
@@ -1149,6 +1163,7 @@ func (l *sessionLane) workBatch(it sessionItem) {
 			l.finishProv(tm.M, it.t0)
 			l.emitShared(l.members[tm.Query], tm.M)
 		}
+		clear(tms)
 		it.tr.Spanf(trace.StageEmit, l.idx, "matches=%d", len(tms))
 		if l.s.tel != nil {
 			n := len(it.batch)
@@ -1185,6 +1200,7 @@ func (l *sessionLane) workBatch(it sessionItem) {
 			l.attachProv(ms, it.t0)
 		}
 		l.s.emit(q, ms)
+		q.clearOutput(ms)
 		it.tr.Spanf(trace.StageEmit, l.idx, "matches=%d", len(ms))
 		if l.s.tel != nil {
 			l.observe(it, len(evs), len(ms))
@@ -1203,6 +1219,7 @@ func (l *sessionLane) workBatch(it sessionItem) {
 			l.attachProv(ms, it.t0)
 		}
 		l.s.emit(q, ms)
+		q.clearOutput(ms)
 		matches += len(ms)
 	}
 	it.tr.Spanf(trace.StageEmit, l.idx, "matches=%d", matches)
